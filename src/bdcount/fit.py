@@ -32,6 +32,7 @@ _GRAD_TOL = 1e-8
 _MAX_ITER = 500
 _ARMIJO = 1e-4
 _SE_COND_LIMIT = 1e10
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -231,13 +232,20 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
         base_val = avg_loglik(x)
         slope = float(g_x @ direction)
         step = 1.0
+        ## Compare up to the rounding of avg_loglik: near the optimum the
+        ## predicted gain falls below it, and an exact test would halve the
+        ## step to nothing while the values tie.
+        tol = 8.0 * _EPS * max(1.0, abs(base_val))
         while step > 1e-14:
-            if avg_loglik(x + step * direction) >= base_val + _ARMIJO * step * slope:
+            if avg_loglik(x + step * direction) >= base_val + _ARMIJO * step * slope - tol:
                 break
             step *= 0.5
         else:
             break
-        x = x + step * direction
+        x_new = x + step * direction
+        if np.array_equal(x_new, x):
+            break
+        x = x_new
         g_eta = t_bar - grad_A(cf, to_eta(x))
     else:
         iterations = max_iter

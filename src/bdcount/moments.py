@@ -38,7 +38,13 @@ from .models import (
     model_logpmf,
     model_ratio,
 )
-from .stationary import DEFAULT_POLICY, BaseDistribution, base_logpmf, base_pmf
+from .stationary import (
+    DEFAULT_POLICY,
+    BaseDistribution,
+    check_kind_shape,
+    lam_upper,
+    log_kernel,
+)
 
 
 @dataclass(frozen=True)
@@ -58,25 +64,63 @@ class ClosedMoments:
     used_direct_fallback: bool = False
 
 
+## Block width of every support scan; cutoffs are multiples of it.
+_BLOCK = 64
+## Rows evaluated together, so that a (rows, _BLOCK) float table stays near 1 MB.
+_MAX_ROWS = 2048
+
+
+def _support_scan(log_w, rows, policy, min_top=0):
+    """Block scan over n of `rows` laws at once, in log space.
+
+    log_w(ns, idx) gives the unnormalized log weights of rows idx at the integer
+    array ns, shape (len(idx), len(ns)).  Each row stops at the smallest
+    block-aligned top with tail block mass < rel_tol * mass, top > mean + 12 sd
+    and top > min_top.  Weights are shifted by each row's running maximum, and
+    the mean and variance merged block by block, so no table over n is held.
+
+    Returns top, log mass, mean and variance over [0, top) per row; a row that
+    has not settled once start passes policy.max_terms gets top -1 and NaN.
+    """
+    top = np.full(rows, -1)
+    shift = np.full(rows, -np.inf)
+    mass, mean, m2 = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+    act = np.arange(rows)
+    start = 0
+    while start <= policy.max_terms and act.size:
+        ns = np.arange(start, start + _BLOCK)
+        ## Flooring log 0 keeps the shift finite over leading zero-mass cells;
+        ## their weights drop out once positive mass raises the shift.
+        lw = np.maximum(log_w(ns, act), np.finfo(float).min)
+        new = np.maximum(shift[act], lw.max(axis=1))
+        scale = np.exp(shift[act] - new)
+        w = np.exp(lw - new[:, None])
+        bmass = w.sum(axis=1)
+        bmean = np.divide(w @ ns, bmass, out=np.zeros_like(bmass), where=bmass > 0.0)
+        bm2 = (w * (ns - bmean[:, None]) ** 2).sum(axis=1)
+        old = mass[act] * scale
+        tot = old + bmass
+        dev = bmean - mean[act]
+        mean[act] += dev * bmass / tot
+        m2[act] = m2[act] * scale + bm2 + dev * dev * old * bmass / tot
+        mass[act], shift[act] = tot, new
+        sd = np.sqrt(m2[act] / tot)
+        stop = start + _BLOCK
+        done = (bmass < policy.rel_tol * tot) & (stop > mean[act] + 12.0 * sd) & (stop > min_top)
+        top[act[done]] = stop
+        act = act[~done]
+        start = stop
+    bad = top < 0
+    log_mass = np.where(bad, np.nan, shift + np.log(mass))
+    return top, log_mass, np.where(bad, np.nan, mean), np.where(bad, np.nan, m2 / mass)
+
+
 def _support_cutoff(logpmf_fn, policy, min_top=0):
     """Smallest block-aligned top with tail mass < rel_tol and top > mean + 12 sd."""
-    block = 64
-    mass = sn = sn2 = 0.0
-    start = 0
-    while start <= policy.max_terms:
-        ns = np.arange(start, start + block)
-        p = np.exp(logpmf_fn(ns))
-        bmass = float(p.sum())
-        mass += bmass
-        sn += float(p @ ns)
-        sn2 += float(p @ (ns.astype(float) ** 2))
-        top = start + block
-        mu = sn / mass if mass > 0.0 else 0.0
-        sd = math.sqrt(max(sn2 / mass - mu * mu, 0.0)) if mass > 0.0 else 0.0
-        if mass > 0.0 and bmass < policy.rel_tol * mass and top > mu + 12.0 * sd and top > min_top:
-            return top
-        start += block
-    raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
+    top = _support_scan(lambda ns, idx: np.atleast_2d(logpmf_fn(ns)), 1, policy, min_top)[0][0]
+    if top < 0:
+        raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
+    return int(top)
 
 
 def moments_direct(model, policy=DEFAULT_POLICY):
@@ -108,23 +152,64 @@ def moments_direct(model, policy=DEFAULT_POLICY):
     )
 
 
-def _base_mean_var(base, policy):
-    if base.kind == "geometric":
-        lam = base.lam
-        return lam / (1.0 - lam), lam / (1.0 - lam) ** 2
-    if base.kind == "poisson":
-        return base.lam, base.lam
-    if base.kind == "negative_binomial":
-        p = base.lam / base.r
-        return base.r * p / (1.0 - p), base.r * p / (1.0 - p) ** 2
-    ## Hyper-Poisson and CMP moments come from their normalizing series.
-    top = _support_cutoff(lambda ns: base_logpmf(base, ns, policy), policy)
-    ns = np.arange(top, dtype=float)
-    p = base_pmf(base, np.arange(top), policy)
-    mass = float(p.sum())
-    mean = float(p @ ns) / mass
-    var = float(p @ (ns - mean) ** 2) / mass
-    return mean, var
+def _closed_rows(kind, lams, shape, family, points, policy):
+    """Base moments and perturbed-cell sums for admissible lam values of one kind.
+
+    Returns E_b and V_b, shape (rows,), and sums, shape (3, rows, m): over each
+    cell n_i (type 1) or block n_{i-1} < k <= n_i (type 2), the sums of b(k),
+    b(k)(k - E_b) and b(k)((k - E_b)^2 - V_b).  Everything here depends on lam
+    alone.  Hyper-Poisson and CMP moments and normalizer come from one support
+    scan per row; a row whose scan passes policy.max_terms is NaN.
+    """
+    lam = lams[:, None]
+    log_norm = np.zeros_like(lams)
+    if kind == "geometric":
+        e_b, v_b = lams / (1.0 - lams), lams / (1.0 - lams) ** 2
+    elif kind == "poisson":
+        e_b, v_b = lams, lams
+    elif kind == "negative_binomial":
+        p = lams / shape["r"]
+        e_b, v_b = shape["r"] * p / (1.0 - p), shape["r"] * p / (1.0 - p) ** 2
+    else:  # hyper_poisson, cmp
+        _, log_norm, e_b, v_b = _support_scan(
+            lambda ns, idx: log_kernel(kind, lam[idx], ns, **shape), len(lams), policy
+        )
+    pts = np.asarray(points, dtype=int)
+    if family == "type1":
+        ks, owner = pts, np.arange(len(pts))
+    else:
+        ks = np.arange(pts[-1] + 1 if len(pts) else 0)
+        owner = np.searchsorted(pts, ks)
+    sums = np.zeros((3, len(lams), len(pts)))
+    for lo in range(0, len(ks), _BLOCK):
+        k = ks[lo : lo + _BLOCK]
+        onehot = (owner[lo : lo + _BLOCK, None] == np.arange(len(pts))).astype(float)
+        b = np.exp(log_kernel(kind, lam, k, **shape) - log_norm[:, None])
+        dev = k - e_b[:, None]
+        sums[0] += b @ onehot
+        sums[1] += (b * dev) @ onehot
+        sums[2] += (b * (dev * dev - v_b[:, None])) @ onehot
+    return e_b, v_b, sums
+
+
+def _perturbed(e_b, v_b, sums, coef):
+    """Mean and variance under factors with coefficients coef (m, cols), rows x cols.
+
+    coef_i is f - 1 on cell or block i: with z = 1 + sum_i coef_i B0_i,
+    mean = E_b + sum_i coef_i B1_i / z and
+    var = V_b - (mean - E_b)^2 + sum_i coef_i B2_i / z.  Nodes with z <= 0 are NaN.
+    """
+    z = 1.0 + sums[0] @ coef
+    z = np.where(z > 0.0, z, np.nan)
+    shift = (sums[1] @ coef) / z
+    return e_b[:, None] + shift, v_b[:, None] - shift * shift + (sums[2] @ coef) / z
+
+
+def _coef(family, factors):
+    """f - 1 on each cell (type 1) or block (type 2); factors has shape (m, cols)."""
+    if family == "type1":
+        return factors - 1.0
+    return np.exp(np.cumsum(np.log(factors[::-1]), axis=0)[::-1]) - 1.0
 
 
 def moments_closed(model, policy=DEFAULT_POLICY):
@@ -134,39 +219,28 @@ def moments_closed(model, policy=DEFAULT_POLICY):
     falls back to direct summation, reported through used_direct_fallback.
     """
     if isinstance(model, BaseDistribution):
-        if model.kind == "poisson_lindley":
-            summ = moments_direct(model, policy)
-            return ClosedMoments(summ.mean, summ.variance, used_direct_fallback=True)
-        mean, var = _base_mean_var(model, policy)
-        return ClosedMoments(mean, var)
-    if not isinstance(model, InfDefDistribution):
+        base, spec = model, None
+    elif isinstance(model, InfDefDistribution):
+        base, spec = model.base, model.spec
+    else:
         raise DomainError(f"moments_closed expects a base or perturbed model, got {type(model).__name__}")
-    if model.base.kind == "poisson_lindley":
+    if base.kind == "poisson_lindley":
         summ = moments_direct(model, policy)
         return ClosedMoments(summ.mean, summ.variance, used_direct_fallback=True)
-    e_b, v_b = _base_mean_var(model.base, policy)
-    z = math.exp(model.log_z)
-    spec = model.spec
-    if spec.family == "type1":
-        b_pts = base_pmf(model.base, np.asarray(spec.points), policy)
-        coef = (np.asarray(spec.factors) - 1.0) * b_pts
-        devs = np.asarray(spec.points, dtype=float) - e_b
-        s1 = float(coef @ devs)
-        s2 = float(coef @ (devs**2 - v_b))
+    if spec is None:
+        family, points, coef = "type1", (), np.zeros((0, 1))
     else:
-        suffix = np.concatenate([np.cumsum(np.log(spec.factors[::-1]))[::-1], [0.0]])
-        s1 = s2 = 0.0
-        lo = 0
-        for i, pt in enumerate(spec.points):
-            ks = np.arange(lo, pt + 1, dtype=float)
-            bk = base_pmf(model.base, np.arange(lo, pt + 1), policy)
-            c = math.exp(suffix[i]) - 1.0
-            s1 += c * float(bk @ (ks - e_b))
-            s2 += c * float(bk @ ((ks - e_b) ** 2 - v_b))
-            lo = pt + 1
-    mean = e_b + s1 / z
-    var = v_b - (mean - e_b) ** 2 + s2 / z
-    return ClosedMoments(mean, var)
+        family, points = spec.family, spec.points
+        coef = _coef(family, np.asarray(spec.factors)[:, None])
+    e_b, v_b, sums = _closed_rows(
+        base.kind, np.array([base.lam]), _shape_kwargs(base.kind, base.r, base.tau, base.nu), family, points, policy
+    )
+    if np.isnan(e_b[0]):
+        raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
+    mean, var = _perturbed(e_b, v_b, sums, coef)
+    if np.isnan(mean[0, 0]):
+        raise ArithmeticError("perturbation normalizer must be positive")
+    return ClosedMoments(float(mean[0, 0]), float(var[0, 0]))
 
 
 def equidispersion_phi(lam, q):
@@ -209,19 +283,37 @@ def dispersion_index_at(kind, q, lam, phi, family="type2", r=None, tau=None, nu=
 def dispersion_surface(kind, q, lambda_grid, phi_grid, family="type2", r=None, tau=None, nu=None, policy=DEFAULT_POLICY):
     """Dispersion index over a (lam, phi) grid; inadmissible nodes are NaN.
 
-    Returns an array of shape (len(lambda_grid), len(phi_grid)).
+    Returns an array of shape (len(lambda_grid), len(phi_grid)).  The lam-only
+    work (base moments, cell sums) is done once per lam for the whole grid, and
+    phi enters only through array arithmetic.  Poisson-Lindley keeps the
+    per-node direct-summation fallback of moments_closed.
     """
     lams = np.asarray(lambda_grid, dtype=float)
     phis = np.asarray(phi_grid, dtype=float)
     out = np.full((len(lams), len(phis)), np.nan)
-    for i, lam in enumerate(lams):
-        for j, phi in enumerate(phis):
-            try:
-                out[i, j] = dispersion_index_at(
-                    kind, q, lam, phi, family=family, r=r, tau=tau, nu=nu, policy=policy
-                )
-            except (DomainError, DivergenceError, SeriesCapError, ArithmeticError):
-                pass
+    if kind == "poisson_lindley":
+        for i, lam in enumerate(lams):
+            for j, phi in enumerate(phis):
+                try:
+                    out[i, j] = dispersion_index_at(kind, q, lam, phi, family, r, tau, nu, policy)
+                except (DomainError, DivergenceError, SeriesCapError, ArithmeticError):
+                    pass
+        return out
+    shape = _shape_kwargs(kind, r, tau, nu)
+    try:
+        check_kind_shape(kind, **shape)
+        spec = InflationSpec(family=family, points=(int(q),), factors=(1.0,))
+    except DomainError:
+        return out
+    rows = np.flatnonzero(np.isfinite(lams) & (lams > 0.0) & (lams < lam_upper(kind, r)))
+    cols = np.isfinite(phis) & (phis > 0.0)
+    coef = _coef(family, np.where(cols, phis, 1.0)[None, :])
+    for lo in range(0, len(rows), _MAX_ROWS):
+        idx = rows[lo : lo + _MAX_ROWS]
+        e_b, v_b, sums = _closed_rows(kind, lams[idx], shape, family, spec.points, policy)
+        mean, var = _perturbed(e_b, v_b, sums, coef)
+        out[idx] = var / mean
+    out[:, ~cols] = np.nan
     return out
 
 
@@ -263,7 +355,7 @@ def equidispersion_contour(
         except (DomainError, DivergenceError, SeriesCapError, ArithmeticError):
             return math.nan
 
-    vals = np.array([f(x) for x in xs])
+    vals = dispersion_surface(kind, q, xs, [phi], family, r, tau, nu, policy)[:, 0] - 1.0
     finite = vals[np.isfinite(vals)]
     if len(finite) > 0 and np.max(np.abs(finite)) < 1e-9:
         return ContourResult(roots=(), degenerate=True)

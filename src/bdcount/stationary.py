@@ -203,22 +203,31 @@ class BaseDistribution:
     nu: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown base kind {self.kind!r}; expected one of {KINDS}")
+        check_kind_shape(self.kind, self.r, self.tau, self.nu)
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise DomainError(f"lam must be a positive finite real, got {self.lam}")
-        needed = {"negative_binomial": "r", "hyper_poisson": "tau", "cmp": "nu"}.get(self.kind)
-        for name in ("r", "tau", "nu"):
-            val = getattr(self, name)
-            if name == needed:
-                if val is None or not (math.isfinite(val) and val > 0.0):
-                    raise DomainError(f"{self.kind} requires {name} > 0, got {val}")
-            elif val is not None:
-                raise DomainError(f"{self.kind} does not take parameter {name}")
-        if self.kind in ("geometric", "poisson_lindley") and not self.lam < 1.0:
+        if not self.lam < lam_upper(self.kind, self.r):
+            if self.kind == "negative_binomial":
+                raise DomainError(f"negative_binomial requires lam/r < 1, got lam={self.lam}, r={self.r}")
             raise DomainError(f"{self.kind} requires lam < 1, got {self.lam}")
-        if self.kind == "negative_binomial" and not self.lam < self.r:
-            raise DomainError(f"negative_binomial requires lam/r < 1, got lam={self.lam}, r={self.r}")
+
+
+def check_kind_shape(kind, r=None, tau=None, nu=None):
+    """Raise DomainError unless kind is known and carries exactly its shape parameter."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown base kind {kind!r}; expected one of {KINDS}")
+    needed = {"negative_binomial": "r", "hyper_poisson": "tau", "cmp": "nu"}.get(kind)
+    for name, val in (("r", r), ("tau", tau), ("nu", nu)):
+        if name == needed:
+            if val is None or not (math.isfinite(val) and val > 0.0):
+                raise DomainError(f"{kind} requires {name} > 0, got {val}")
+        elif val is not None:
+            raise DomainError(f"{kind} does not take parameter {name}")
+
+
+def lam_upper(kind, r=None):
+    """Supremum of the admissible lam: 1 (geometric, Poisson-Lindley), r (negative binomial) or inf."""
+    return {"geometric": 1.0, "poisson_lindley": 1.0, "negative_binomial": r}.get(kind, math.inf)
 
 
 def base_ratio(base, n):
@@ -235,8 +244,8 @@ def base_ratio(base, n):
         out = (ns / base.r + 1.0) * lam / (ns + 1.0)
     elif base.kind == "hyper_poisson":
         out = lam / (base.tau + ns)
-    else:  # cmp
-        out = lam / (ns + 1.0) ** base.nu
+    else:  # cmp, in log space: (n + 1) ** nu overflows, and its inverse goes subnormal
+        out = np.exp(math.log(lam) - base.nu * np.log1p(ns))
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -253,10 +262,45 @@ def base_ratio_sequence(base):
     return RatioSequence(eval=lambda n: base_ratio(base, n), limit_hint=hint)
 
 
-@functools.lru_cache(maxsize=None)
+## Entries kept by the normalizer memo; a fit re-evaluates only its latest
+## few parameter sets, so a small bound keeps its hits and bounds memory.
+_NORM_MEMO_SIZE = 1024
+
+## Kinds whose normalizer is a series rather than a closed form.
+SERIES_KINDS = ("hyper_poisson", "cmp")
+
+
+@functools.lru_cache(maxsize=_NORM_MEMO_SIZE)
 def _log_base_norm(base, policy):
     """log of the normalizing series for families without a closed-form constant."""
     return log_ratio_series_sum(base_ratio_sequence(base), policy)
+
+
+def log_kernel(kind, lam, ns, r=None, tau=None, nu=None):
+    """log b(n) of a base family, less the series normalizer of SERIES_KINDS.
+
+    lam is a float or an array broadcasting against the float array ns (a
+    column of lam values gives one row per value); the terms in n alone are
+    evaluated once on ns.
+    """
+    log_lam = np.log(lam)
+    if kind == "geometric":
+        return np.log1p(-lam) + ns * log_lam
+    if kind == "poisson":
+        return ns * log_lam - lam - gammaln(ns + 1.0)
+    if kind == "poisson_lindley":
+        return 2.0 * np.log1p(-lam) + np.log(1.0 + lam + ns * lam) + ns * log_lam
+    if kind == "negative_binomial":
+        return (
+            gammaln(r + ns)
+            - gammaln(r)
+            - gammaln(ns + 1.0)
+            + ns * (log_lam - math.log(r))
+            + r * np.log1p(-lam / r)
+        )
+    if kind == "hyper_poisson":
+        return ns * log_lam - (gammaln(tau + ns) - gammaln(tau))
+    return ns * log_lam - nu * gammaln(ns + 1.0)  # cmp
 
 
 def base_logpmf(base, n, policy=DEFAULT_POLICY):
@@ -264,28 +308,9 @@ def base_logpmf(base, n, policy=DEFAULT_POLICY):
     ns = np.asarray(n, dtype=float)
     if np.any(ns < 0) or np.any(ns != np.floor(ns)):
         raise DomainError("pmf support is the non-negative integers")
-    lam = base.lam
-    log_lam = math.log(lam)
-    if base.kind == "geometric":
-        out = math.log1p(-lam) + ns * log_lam
-    elif base.kind == "poisson":
-        out = ns * log_lam - lam - gammaln(ns + 1.0)
-    elif base.kind == "poisson_lindley":
-        out = 2.0 * math.log1p(-lam) + np.log(1.0 + lam + ns * lam) + ns * log_lam
-    elif base.kind == "negative_binomial":
-        r = base.r
-        out = (
-            gammaln(r + ns)
-            - gammaln(r)
-            - gammaln(ns + 1.0)
-            + ns * (log_lam - math.log(r))
-            + r * math.log1p(-lam / r)
-        )
-    elif base.kind == "hyper_poisson":
-        tau = base.tau
-        out = ns * log_lam - (gammaln(tau + ns) - gammaln(tau)) - _log_base_norm(base, policy)
-    else:  # cmp
-        out = ns * log_lam - base.nu * gammaln(ns + 1.0) - _log_base_norm(base, policy)
+    out = log_kernel(base.kind, base.lam, ns, base.r, base.tau, base.nu)
+    if base.kind in SERIES_KINDS:
+        out = out - _log_base_norm(base, policy)
     return float(out) if np.ndim(n) == 0 else out
 
 

@@ -291,6 +291,31 @@ def test_max_iter_exhaustion_reported():
     assert full.loglik >= capped.loglik - 1e-12
 
 
+def test_null_line_search_does_not_stall():
+    ## The Newton step's predicted gain here falls below the rounding of the
+    ## average log-likelihood; halving it used to spin for max_iter iterations.
+    s = CountSample.from_frequencies(
+        {0: 14300, 1: 4252, 2: 6566, 3: 6513, 4: 5000, 5: 3025, 6: 1458, 7: 702, 8: 240, 9: 85, 10: 23, 11: 7, 12: 1, 13: 1}
+    )
+    template = MixtureModel(BaseDistribution(kind="poisson", lam=1.0), "zero_inflated", points=(0,), omegas=(0.1,))
+    fit = fit_mle(template, s)
+    assert fit.converged
+    assert fit.iterations <= 10
+
+
+def test_normalizer_memo_is_bounded():
+    from bdcount.stationary import _NORM_MEMO_SIZE, _log_base_norm
+
+    rng = np.random.default_rng(77)
+    template = BaseDistribution(kind="cmp", lam=1.0, nu=1.0)
+    for _ in range(50):
+        true = BaseDistribution(kind="cmp", lam=rng.uniform(0.5, 4.0), nu=rng.uniform(0.6, 1.8))
+        fit_mle(template, CountSample.from_counts(sample_counts(true, 300, rng)))
+    info = _log_base_norm.cache_info()
+    assert info.maxsize == _NORM_MEMO_SIZE
+    assert info.currsize <= _NORM_MEMO_SIZE
+
+
 def test_sample_counts_deterministic_by_seed():
     model = BaseDistribution(kind="poisson", lam=3.0)
     a = sample_counts(model, 400, 2026)

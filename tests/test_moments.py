@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdcount import (
     BaseDistribution,
@@ -17,7 +19,8 @@ from bdcount import (
     moments_closed,
     moments_direct,
 )
-from conftest import random_base, random_spec
+from bdcount.moments import dispersion_index_at
+from conftest import EF_KINDS, random_base, random_spec
 
 
 def test_base_closed_moments():
@@ -143,12 +146,54 @@ def test_equidispersed_reference_grid():
 
 def test_dispersion_surface_marks_bad_nodes():
     ## geometric base diverges past lam = 1: those nodes must be NaN, not errors.
-    lams = np.array([0.5, 0.9, 1.5])
-    phis = np.array([0.5, 2.0])
+    lams = np.array([0.5, 0.9, 1.5, 1.0])
+    phis = np.array([0.5, 2.0, 0.0, -1.0, np.inf])
     grid = dispersion_surface("geometric", 1, lams, phis)
-    assert grid.shape == (3, 2)
-    assert np.all(np.isfinite(grid[:2]))
-    assert np.all(np.isnan(grid[2]))
+    assert grid.shape == (4, 5)
+    assert np.all(np.isfinite(grid[:2, :2]))
+    assert np.all(np.isnan(grid[2:])) and np.all(np.isnan(grid[:, 2:]))
+    nb = dispersion_surface("negative_binomial", 2, [1.0, 3.0, 4.0, 2.9], [0.5, 2.0], r=3.0)
+    assert np.all(np.isnan(nb[1:3])) and np.all(np.isfinite(nb[[0, 3]]))
+    ## CMP with nu = 0.1 peaks near n = 5**10 at lam = 5: the scan hits
+    ## max_terms on that row only.
+    cmp = dispersion_surface("cmp", 2, [0.5, 5.0], [0.5, 2.0], nu=0.1)
+    assert np.all(np.isfinite(cmp[0])) and np.all(np.isnan(cmp[1]))
+    assert np.all(np.isnan(dispersion_surface("cmp", 2, [0.5], [0.5], nu=-1.0)))
+
+
+def _surface_shape(kind):
+    return {"negative_binomial": {"r": 4.0}, "hyper_poisson": {"tau": 1.7}, "cmp": {"nu": 1.3}}.get(kind, {})
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+@pytest.mark.parametrize("family", ["type1", "type2"])
+@pytest.mark.parametrize("kind", EF_KINDS)
+def test_dispersion_surface_matches_direct(kind, family, q):
+    lams = {"geometric": [0.1, 0.45, 0.8], "negative_binomial": [0.4, 1.9, 3.6]}.get(kind, [0.3, 2.2, 6.5])
+    phis = [0.2, 0.9, 1.0, 2.7]
+    grid = dispersion_surface(kind, q, lams, phis, family=family, **_surface_shape(kind))
+    for i, lam in enumerate(lams):
+        base = BaseDistribution(kind=kind, lam=lam, **_surface_shape(kind))
+        for j, phi in enumerate(phis):
+            model = InfDefDistribution(base, InflationSpec(family=family, points=(q,), factors=(phi,)))
+            want = moments_direct(model).dispersion_index
+            assert abs(grid[i, j] - want) <= 1e-8 * want, (lam, phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(EF_KINDS),
+    family=st.sampled_from(["type1", "type2"]),
+    q=st.integers(0, 8),
+    u=st.floats(0.01, 0.99),
+    phi=st.floats(1e-3, 50.0),
+)
+def test_surface_node_equals_single_lambda_call(kind, family, q, u, phi):
+    lam = {"geometric": u, "negative_binomial": 4.0 * u}.get(kind, 12.0 * u)
+    shape = _surface_shape(kind)
+    node = dispersion_surface(kind, q, [0.5 * lam, lam], [1.0, phi], family=family, **shape)[1, 1]
+    single = dispersion_index_at(kind, q, lam, phi, family=family, **shape)
+    assert abs(node - single) <= 1e-12 * abs(single)
 
 
 def test_contour_poisson_reference():

@@ -79,6 +79,20 @@ def test_poisson_large_lambda_is_finite():
     assert abs(base_pmf(base, np.arange(201)).sum() - 1.0) < 1e-10
 
 
+def test_cmp_ratio_does_not_overflow():
+    import warnings
+
+    ## (n + 1) ** 80 overflows from n = 7125 on; lam keeps the ratio representable.
+    base = BaseDistribution(kind="cmp", lam=1e100, nu=80.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = base_ratio(base, 10_000)
+        arr = base_ratio(base, np.array([0, 10_000]))
+    want = math.exp(math.log(1e100) - 80.0 * math.log(10_001.0))
+    assert got > 0.0 and abs(got - want) <= 1e-12 * want
+    assert arr[1] == got and abs(arr[0] - 1e100) <= 1e-12 * 1e100
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
