@@ -11,10 +11,10 @@ import numpy as np
 
 from bdcount import (
     BaseDistribution,
+    WeightedPMF,
     base_pmf,
     base_ratio,
     catalogue_weight,
-    weighted_pmf,
 )
 
 ns = np.arange(8)
@@ -51,7 +51,7 @@ print("\n=== the hyper-Poisson family as a weighted Poisson ===")
 target = BaseDistribution(kind="hyper_poisson", lam=2.0, tau=2.5)
 reference = BaseDistribution(kind="poisson", lam=2.0)
 weight = catalogue_weight("hyper_poisson", against="poisson", tau=2.5)
-law = weighted_pmf(reference, weight)
+law = WeightedPMF(reference, weight)
 wp = law.pmf(ns)
 direct = base_pmf(target, ns)
 print("weighted reference:", " ".join(f"{v:.6f}" for v in wp))

@@ -17,6 +17,7 @@ from .expfamily import (
     CanonicalForm,
     canonicalize,
     cumulant_identity_residual,
+    cumulants,
     grad_A,
     hess_A,
 )
@@ -33,7 +34,6 @@ from .models import (
     InflationSpec,
     MixtureModel,
     alpha_from_omega,
-    infdef_pmf,
     log_weight_f,
     mixture_pmf,
     model_from_document,
@@ -74,6 +74,7 @@ from .stationary import (
     RatioSequence,
     SeriesPolicy,
     StationaryPMF,
+    WeightedPMF,
     WeightFunction,
     base_logpmf,
     base_pmf,
@@ -81,8 +82,6 @@ from .stationary import (
     base_ratio_sequence,
     catalogue_weight,
     log_ratio_series_sum,
-    stationary_pmf_from_ratios,
-    weighted_pmf,
 )
 
 __version__ = "0.1.0"

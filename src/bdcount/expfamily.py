@@ -16,7 +16,7 @@ finite statistic) and is rejected.
 
 A is evaluated from eta alone, so the same CanonicalForm can be re-evaluated
 along an optimizer path.  The gradient and Hessian of A are the mean and
-covariance of T(N) and are computed by truncated series summation.
+covariance of T(N), computed together by cumulants from one support table.
 
 For any of these laws the stationary construction gives the identity
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, SeriesCapError, UnsupportedFamilyError
+from .errors import DomainError, UnsupportedFamilyError
 from .models import InfDefDistribution, InflationSpec, infdef_log_z
 from .stationary import (
     DEFAULT_POLICY,
@@ -40,6 +40,8 @@ from .stationary import (
     _log_base_norm,
     as_support,
     log_ratio_series_sum,
+    support_floor,
+    support_table,
 )
 
 ## Coordinates with an upper bound at 0 (open), per base kind.
@@ -199,54 +201,31 @@ def canonicalize(model, policy=None):
     )
 
 
-def _moment_block_sums(cf, eta):
-    """Accumulate sum q, sum q*T, sum q*T T' over the support by blocks."""
+def cumulants(cf, eta=None):
+    """Mean and covariance of T(N) at eta: the gradient and Hessian of A.
+
+    One support table of the weights h(n) exp(T(n).eta), normalized by its own
+    mass, so A itself is not evaluated.  The covariance is symmetric PSD.
+    """
     eta = cf._check_eta(eta)
-    a_val = cf.A(eta)
-    d = cf.dim
-    policy = cf.policy
-    block = 128
-    mass = 0.0
-    s1 = np.zeros(d)
-    s2 = np.zeros((d, d))
-    sn = 0.0
-    sn2 = 0.0
-    start = 0
-    min_top = (max(cf.points) + 1) if cf.points else 0
-    while start <= policy.max_terms:
-        ns = np.arange(start, start + block)
-        t_mat = cf.T(ns)
-        logq = cf.log_h(ns) + t_mat @ eta - a_val
-        q = np.exp(logq)
-        bmass = float(q.sum())
-        mass += bmass
-        s1 += q @ t_mat
-        s2 += t_mat.T @ (t_mat * q[:, None])
-        sn += float(q @ ns)
-        sn2 += float(q @ (ns.astype(float) ** 2))
-        mu = sn / mass
-        sd = math.sqrt(max(sn2 / mass - mu * mu, 0.0))
-        top = start + block
-        if bmass < policy.rel_tol * mass and top > mu + 12.0 * sd and top > min_top:
-            return mass, s1, s2
-        start += block
-    raise SeriesCapError(
-        f"moment series did not settle within max_terms={policy.max_terms}"
-    )
+    ns, log_w = support_table(lambda ns: cf.log_h(ns) + cf.T(ns) @ eta, cf.policy, support_floor(cf))
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    t_mat = cf.T(ns)
+    mean = w @ t_mat
+    dev = t_mat - mean
+    cov = (dev * w[:, None]).T @ dev
+    return mean, (cov + cov.T) / 2.0
 
 
 def grad_A(cf, eta=None):
     """Gradient of A at eta: the mean of T(N)."""
-    mass, s1, _ = _moment_block_sums(cf, eta)
-    return s1 / mass
+    return cumulants(cf, eta)[0]
 
 
 def hess_A(cf, eta=None):
     """Hessian of A at eta: the covariance of T(N); symmetric PSD."""
-    mass, s1, s2 = _moment_block_sums(cf, eta)
-    mean = s1 / mass
-    hess = s2 / mass - np.outer(mean, mean)
-    return (hess + hess.T) / 2.0
+    return cumulants(cf, eta)[1]
 
 
 def cumulant_identity_residual(cf, ratio, policy=None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .expfamily import canonicalize, grad_A, hess_A
+from .expfamily import canonicalize, cumulants
 from .models import (
     InfDefDistribution,
     InflationSpec,
@@ -26,7 +26,7 @@ from .models import (
     model_logpmf,
     omega_from_alpha,
 )
-from .stationary import DEFAULT_POLICY, BaseDistribution, base_pmf
+from .stationary import DEFAULT_POLICY, BaseDistribution, base_pmf, support_floor, support_table
 
 _GRAD_TOL = 1e-8
 _MAX_ITER = 500
@@ -211,14 +211,15 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
     x = to_x(cf.eta)
     converged = False
     iterations = 0
-    g_eta = t_bar - grad_A(cf, to_eta(x))
+    ## One support pass per point of the path gives score and information.
+    mean_t, h_eta = cumulants(cf, to_eta(x))
+    g_eta = t_bar - mean_t
     for iterations in range(1, max_iter + 1):
         eta = to_eta(x)
         if float(np.max(np.abs(g_eta))) < grad_tol:
             converged = True
             iterations -= 1
             break
-        h_eta = hess_A(cf, eta)
         jac = np.where(bounded, eta, 1.0)
         g_x = g_eta * jac
         ## Hessian of the avg log-likelihood in x (chain rule through eta = -e^x).
@@ -246,7 +247,8 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
         if np.array_equal(x_new, x):
             break
         x = x_new
-        g_eta = t_bar - grad_A(cf, to_eta(x))
+        mean_t, h_eta = cumulants(cf, to_eta(x))
+        g_eta = t_bar - mean_t
     else:
         iterations = max_iter
     if not converged and float(np.max(np.abs(g_eta))) < grad_tol:
@@ -257,7 +259,7 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
     ll = loglik(fitted, sample, policy)
     n_tot = sample.size
     k = cf.dim
-    info = n_tot * hess_A(cf, eta_hat)
+    info = n_tot * h_eta
     se = None
     se_unstable = True
     cond = np.linalg.cond(info)
@@ -343,21 +345,15 @@ def profile_fit(template, sample, grid, nuisance=None, policy=DEFAULT_POLICY, xt
     )
 
 
-def sample_counts(model, size, rng, policy=DEFAULT_POLICY, tail_tol=1e-12):
-    """Draw iid counts from any model by inversion of the cumulative PMF."""
+def sample_counts(model, size, rng, policy=DEFAULT_POLICY):
+    """Draw iid counts from any model by inversion of the cumulative PMF.
+
+    The CDF is that of the model's support table; SeriesCapError is raised when
+    the table does not settle within policy.max_terms.
+    """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    probs = []
-    total = 0.0
-    n = 0
-    block = 256
-    while total < 1.0 - tail_tol:
-        p = np.exp(np.atleast_1d(model_logpmf(model, np.arange(n, n + block), policy)))
-        probs.append(p)
-        total += float(p.sum())
-        n += block
-        if n > policy.max_terms:
-            break
-    cdf = np.cumsum(np.concatenate(probs))
-    u = rng.random(size) * min(cdf[-1], 1.0)
+    _, log_p = support_table(lambda ns: model_logpmf(model, ns, policy), policy, support_floor(model))
+    cdf = np.cumsum(np.exp(log_p))
+    u = rng.random(size) * cdf[-1]
     return np.searchsorted(cdf, u, side="left")

@@ -79,20 +79,37 @@ class InflationSpec:
         object.__setattr__(self, "factors", facs)
 
 
+def log_levels(family, log_factors):
+    """log f on each perturbed level: the cell n_i (type 1) or the block n_{i-1} < n <= n_i (type 2).
+
+    log_factors holds one row per point.  A type 2 block carries every factor
+    whose point is at or above it, so its level is a suffix sum.
+    """
+    if family == "type1":
+        return log_factors
+    return np.cumsum(log_factors[::-1], axis=0)[::-1]
+
+
+def level_cells(family, points):
+    """The n covered by the perturbed levels, and the level that owns each."""
+    pts = np.asarray(points, dtype=int)
+    if family == "type1":
+        return pts, np.arange(len(pts))
+    ks = np.arange(pts[-1] + 1 if len(pts) else 0)
+    return ks, np.searchsorted(pts, ks)
+
+
 def log_weight_f(spec, n):
     """log f(n) for a perturbation spec; n may be a scalar or integer array."""
     ns = as_support(n)
     pts = np.asarray(spec.points)
-    logfac = np.log(np.asarray(spec.factors))
+    levels = log_levels(spec.family, np.log(np.asarray(spec.factors)))
     idx = np.searchsorted(pts, ns)
     if spec.family == "type1":
         safe = np.minimum(idx, len(pts) - 1)
-        out = np.where((idx < len(pts)) & (pts[safe] == ns), logfac[safe], 0.0)
+        out = np.where((idx < len(pts)) & (pts[safe] == ns), levels[safe], 0.0)
     else:
-        ## suffix[i] = sum of log factors j >= i; f(n) multiplies every factor
-        ## whose point is >= n.
-        suffix = np.concatenate([np.cumsum(logfac[::-1])[::-1], [0.0]])
-        out = suffix[idx]
+        out = np.append(levels, 0.0)[idx]
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -101,19 +118,10 @@ def weight_f(spec, n):
 
 
 def infdef_log_z(base, spec, policy=DEFAULT_POLICY):
-    """log of z = sum_n f(n) b(n), via the closed finite corrections."""
-    b_pts = base_pmf(base, np.asarray(spec.points), policy)
-    if spec.family == "type1":
-        z = 1.0 + float(np.sum((np.asarray(spec.factors) - 1.0) * b_pts))
-    else:
-        pts = spec.points
-        suffix = np.concatenate([np.cumsum(np.log(spec.factors[::-1]))[::-1], [0.0]])
-        z = 1.0
-        lo = 0
-        for i, p in enumerate(pts):
-            block = np.arange(lo, p + 1)
-            z += (math.exp(suffix[i]) - 1.0) * float(np.sum(base_pmf(base, block, policy)))
-            lo = p + 1
+    """log of z = sum_n f(n) b(n) = 1 + sum_i (f_i - 1) b(level i), a finite correction."""
+    ks, owner = level_cells(spec.family, spec.points)
+    mass = np.bincount(owner, weights=base_pmf(base, ks, policy), minlength=len(spec.points))
+    z = 1.0 + float((np.exp(log_levels(spec.family, np.log(spec.factors))) - 1.0) @ mass)
     if not z > 0.0:
         raise ArithmeticError(f"perturbation normalizer must be positive, got {z}")
     return math.log(z)
@@ -153,11 +161,6 @@ def modified_ratio(dist, n):
     log_g = log_weight_f(dist.spec, ns + 1) - log_weight_f(dist.spec, ns)
     out = np.exp(log_g) * base_ratio(dist.base, ns)
     return float(out) if np.ndim(n) == 0 else out
-
-
-def infdef_pmf(base, spec, n, policy=DEFAULT_POLICY):
-    """PMF of the perturbed law without keeping the distribution object."""
-    return InfDefDistribution(base, spec, policy).pmf(n)
 
 
 @dataclass(frozen=True)

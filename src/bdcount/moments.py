@@ -35,15 +35,21 @@ from .errors import DivergenceError, DomainError, SeriesCapError
 from .models import (
     InfDefDistribution,
     InflationSpec,
+    level_cells,
+    log_levels,
     model_logpmf,
     model_ratio,
 )
 from .stationary import (
     DEFAULT_POLICY,
+    SUPPORT_BLOCK,
     BaseDistribution,
     check_kind_shape,
     lam_upper,
     log_kernel,
+    support_floor,
+    support_scan,
+    support_table,
 )
 
 
@@ -64,74 +70,15 @@ class ClosedMoments:
     used_direct_fallback: bool = False
 
 
-## Block width of every support scan; cutoffs are multiples of it.
-_BLOCK = 64
-## Rows evaluated together, so that a (rows, _BLOCK) float table stays near 1 MB.
+## Rows evaluated together, so that a (rows, SUPPORT_BLOCK) float table stays near 1 MB.
 _MAX_ROWS = 2048
-
-
-def _support_scan(log_w, rows, policy, min_top=0):
-    """Block scan over n of `rows` laws at once, in log space.
-
-    log_w(ns, idx) gives the unnormalized log weights of rows idx at the integer
-    array ns, shape (len(idx), len(ns)).  Each row stops at the smallest
-    block-aligned top with tail block mass < rel_tol * mass, top > mean + 12 sd
-    and top > min_top.  Weights are shifted by each row's running maximum, and
-    the mean and variance merged block by block, so no table over n is held.
-
-    Returns top, log mass, mean and variance over [0, top) per row; a row that
-    has not settled once start passes policy.max_terms gets top -1 and NaN.
-    """
-    top = np.full(rows, -1)
-    shift = np.full(rows, -np.inf)
-    mass, mean, m2 = np.zeros(rows), np.zeros(rows), np.zeros(rows)
-    act = np.arange(rows)
-    start = 0
-    while start <= policy.max_terms and act.size:
-        ns = np.arange(start, start + _BLOCK)
-        ## Flooring log 0 keeps the shift finite over leading zero-mass cells;
-        ## their weights drop out once positive mass raises the shift.
-        lw = np.maximum(log_w(ns, act), np.finfo(float).min)
-        new = np.maximum(shift[act], lw.max(axis=1))
-        scale = np.exp(shift[act] - new)
-        w = np.exp(lw - new[:, None])
-        bmass = w.sum(axis=1)
-        bmean = np.divide(w @ ns, bmass, out=np.zeros_like(bmass), where=bmass > 0.0)
-        bm2 = (w * (ns - bmean[:, None]) ** 2).sum(axis=1)
-        old = mass[act] * scale
-        tot = old + bmass
-        dev = bmean - mean[act]
-        mean[act] += dev * bmass / tot
-        m2[act] = m2[act] * scale + bm2 + dev * dev * old * bmass / tot
-        mass[act], shift[act] = tot, new
-        sd = np.sqrt(m2[act] / tot)
-        stop = start + _BLOCK
-        done = (bmass < policy.rel_tol * tot) & (stop > mean[act] + 12.0 * sd) & (stop > min_top)
-        top[act[done]] = stop
-        act = act[~done]
-        start = stop
-    bad = top < 0
-    log_mass = np.where(bad, np.nan, shift + np.log(mass))
-    return top, log_mass, np.where(bad, np.nan, mean), np.where(bad, np.nan, m2 / mass)
-
-
-def _support_cutoff(logpmf_fn, policy, min_top=0):
-    """Smallest block-aligned top with tail mass < rel_tol and top > mean + 12 sd."""
-    top = _support_scan(lambda ns, idx: np.atleast_2d(logpmf_fn(ns)), 1, policy, min_top)[0][0]
-    if top < 0:
-        raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
-    return int(top)
 
 
 def moments_direct(model, policy=DEFAULT_POLICY):
     """MomentSummary by direct summation over the (truncated) support."""
-    logpmf_fn = lambda ns: model_logpmf(model, ns, policy)
-    min_top = 0
-    if isinstance(model, InfDefDistribution):
-        min_top = max(model.spec.points) + 1
-    top = _support_cutoff(logpmf_fn, policy, min_top)
-    ns = np.arange(top, dtype=float)
-    p = np.exp(logpmf_fn(np.arange(top)))
+    ns, log_p = support_table(lambda ns: model_logpmf(model, ns, policy), policy, support_floor(model))
+    ns = ns.astype(float)
+    p = np.exp(log_p)
     mass = float(p.sum())
     p = p / mass
     mean = float(p @ ns)
@@ -171,19 +118,14 @@ def _closed_rows(kind, lams, shape, family, points, policy):
         p = lams / shape["r"]
         e_b, v_b = shape["r"] * p / (1.0 - p), shape["r"] * p / (1.0 - p) ** 2
     else:  # hyper_poisson, cmp
-        _, log_norm, e_b, v_b = _support_scan(
+        _, log_norm, e_b, v_b = support_scan(
             lambda ns, idx: log_kernel(kind, lam[idx], ns, **shape), len(lams), policy
         )
-    pts = np.asarray(points, dtype=int)
-    if family == "type1":
-        ks, owner = pts, np.arange(len(pts))
-    else:
-        ks = np.arange(pts[-1] + 1 if len(pts) else 0)
-        owner = np.searchsorted(pts, ks)
-    sums = np.zeros((3, len(lams), len(pts)))
-    for lo in range(0, len(ks), _BLOCK):
-        k = ks[lo : lo + _BLOCK]
-        onehot = (owner[lo : lo + _BLOCK, None] == np.arange(len(pts))).astype(float)
+    ks, owner = level_cells(family, points)
+    sums = np.zeros((3, len(lams), len(points)))
+    for lo in range(0, len(ks), SUPPORT_BLOCK):
+        k = ks[lo : lo + SUPPORT_BLOCK]
+        onehot = (owner[lo : lo + SUPPORT_BLOCK, None] == np.arange(len(points))).astype(float)
         b = np.exp(log_kernel(kind, lam, k, **shape) - log_norm[:, None])
         dev = k - e_b[:, None]
         sums[0] += b @ onehot
@@ -192,24 +134,18 @@ def _closed_rows(kind, lams, shape, family, points, policy):
     return e_b, v_b, sums
 
 
-def _perturbed(e_b, v_b, sums, coef):
-    """Mean and variance under factors with coefficients coef (m, cols), rows x cols.
+def _perturbed(e_b, v_b, sums, log_f):
+    """Mean and variance under levels log_f (m, cols) per cell or block, rows x cols.
 
-    coef_i is f - 1 on cell or block i: with z = 1 + sum_i coef_i B0_i,
+    With coef_i = f_i - 1 and z = 1 + sum_i coef_i B0_i,
     mean = E_b + sum_i coef_i B1_i / z and
     var = V_b - (mean - E_b)^2 + sum_i coef_i B2_i / z.  Nodes with z <= 0 are NaN.
     """
+    coef = np.exp(log_f) - 1.0
     z = 1.0 + sums[0] @ coef
     z = np.where(z > 0.0, z, np.nan)
     shift = (sums[1] @ coef) / z
     return e_b[:, None] + shift, v_b[:, None] - shift * shift + (sums[2] @ coef) / z
-
-
-def _coef(family, factors):
-    """f - 1 on each cell (type 1) or block (type 2); factors has shape (m, cols)."""
-    if family == "type1":
-        return factors - 1.0
-    return np.exp(np.cumsum(np.log(factors[::-1]), axis=0)[::-1]) - 1.0
 
 
 def moments_closed(model, policy=DEFAULT_POLICY):
@@ -228,16 +164,16 @@ def moments_closed(model, policy=DEFAULT_POLICY):
         summ = moments_direct(model, policy)
         return ClosedMoments(summ.mean, summ.variance, used_direct_fallback=True)
     if spec is None:
-        family, points, coef = "type1", (), np.zeros((0, 1))
+        family, points, log_f = "type1", (), np.zeros((0, 1))
     else:
         family, points = spec.family, spec.points
-        coef = _coef(family, np.asarray(spec.factors)[:, None])
+        log_f = log_levels(family, np.log(spec.factors)[:, None])
     e_b, v_b, sums = _closed_rows(
         base.kind, np.array([base.lam]), _shape_kwargs(base.kind, base.r, base.tau, base.nu), family, points, policy
     )
     if np.isnan(e_b[0]):
         raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
-    mean, var = _perturbed(e_b, v_b, sums, coef)
+    mean, var = _perturbed(e_b, v_b, sums, log_f)
     if np.isnan(mean[0, 0]):
         raise ArithmeticError("perturbation normalizer must be positive")
     return ClosedMoments(float(mean[0, 0]), float(var[0, 0]))
@@ -307,11 +243,11 @@ def dispersion_surface(kind, q, lambda_grid, phi_grid, family="type2", r=None, t
         return out
     rows = np.flatnonzero(np.isfinite(lams) & (lams > 0.0) & (lams < lam_upper(kind, r)))
     cols = np.isfinite(phis) & (phis > 0.0)
-    coef = _coef(family, np.where(cols, phis, 1.0)[None, :])
+    log_f = log_levels(family, np.log(np.where(cols, phis, 1.0))[None, :])
     for lo in range(0, len(rows), _MAX_ROWS):
         idx = rows[lo : lo + _MAX_ROWS]
         e_b, v_b, sums = _closed_rows(kind, lams[idx], shape, family, spec.points, policy)
-        mean, var = _perturbed(e_b, v_b, sums, coef)
+        mean, var = _perturbed(e_b, v_b, sums, log_f)
         out[idx] = var / mean
     out[:, ~cols] = np.nan
     return out
@@ -347,37 +283,32 @@ def equidispersion_contour(
         raise DomainError(f"need 0 < lambda_lo < lambda_hi, got ({lambda_lo}, {lambda_hi})")
     xs = np.linspace(lambda_lo, lambda_hi, subintervals + 1)
 
-    def f(lam):
-        try:
-            return dispersion_index_at(
-                kind, q, lam, phi, family=family, r=r, tau=tau, nu=nu, policy=policy
-            ) - 1.0
-        except (DomainError, DivergenceError, SeriesCapError, ArithmeticError):
-            return math.nan
+    def index_minus_one(lams):
+        return dispersion_surface(kind, q, lams, [phi], family, r, tau, nu, policy)[:, 0] - 1.0
 
-    vals = dispersion_surface(kind, q, xs, [phi], family, r, tau, nu, policy)[:, 0] - 1.0
+    vals = index_minus_one(xs)
     finite = vals[np.isfinite(vals)]
     if len(finite) > 0 and np.max(np.abs(finite)) < 1e-9:
         return ContourResult(roots=(), degenerate=True)
-    roots = []
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0.0:
-            lo, hi, flo = a, b, fa
-            while hi - lo > xtol:
-                mid = (lo + hi) / 2.0
-                fm = f(mid)
-                if not np.isfinite(fm):
-                    break
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append((lo + hi) / 2.0)
+    fa, fb = vals[:-1], vals[1:]
+    ok = np.isfinite(fa) & np.isfinite(fb)
+    cross = ok & (fa * fb < 0.0)
+    ## All brackets are bisected together, one surface call per step; a bracket
+    ## stops early where the index is undefined at its midpoint.
+    lo, hi, flo = xs[:-1][cross], xs[1:][cross], fa[cross]
+    live = hi - lo > xtol
+    while live.any():
+        idx = np.flatnonzero(live)
+        mid = (lo[idx] + hi[idx]) / 2.0
+        fm = index_minus_one(mid)
+        good = np.isfinite(fm)
+        left = good & (flo[idx] * fm <= 0.0)
+        right = good & ~left
+        hi[idx[left]] = mid[left]
+        lo[idx[right]], flo[idx[right]] = mid[right], fm[right]
+        live[idx[~good]] = False
+        live &= hi - lo > xtol
+    roots = sorted(xs[:-1][ok & (fa == 0.0)].tolist() + ((lo + hi) / 2.0).tolist())
     if np.isfinite(vals[-1]) and vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     dedup = []

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StateExplosionError
-from .moments import _support_cutoff
-from .stationary import DEFAULT_POLICY, StationaryPMF
+from .stationary import DEFAULT_POLICY, StationaryPMF, support_floor, support_table
 
 _RNG_ALGORITHM = "numpy.random.default_rng/PCG64"
 
@@ -106,9 +105,8 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
     """
     ratio = _ratio_of(rates)
     target = StationaryPMF(ratio, policy)
-    top = _support_cutoff(target.logpmf, policy)
-    ns = np.arange(top, dtype=float)
-    p = target.pmf(np.arange(top))
+    ns, log_p = support_table(target.logpmf, policy, support_floor(ratio))
+    p = np.exp(log_p)
     mean = float(p @ ns)
     sd = math.sqrt(max(float(p @ (ns - mean) ** 2), 0.0))
     if max_state is None:

@@ -20,8 +20,9 @@ hyper-Poisson, Conway-Maxwell-Poisson), the generic ratio-to-PMF construction,
 a catalogue of relative weight functions between the families, and weighted
 PMFs p(n) proportional to w(n) * b(n).
 
-All series work is done in log space with a geometric tail bound controlled by
-a SeriesPolicy.
+All series work is done in log space under a SeriesPolicy: normalizers of
+ratio sequences with a geometric tail bound, and every other sum over the
+support (moments, cumulants, sampling tables) by support_scan.
 """
 
 import functools
@@ -157,6 +158,96 @@ def as_support(n):
     return ns
 
 
+## Block width of every support scan; cutoffs are multiples of it.
+SUPPORT_BLOCK = 64
+## Floor for log 0 in a scan (see support_scan).
+_LOG_FLOOR = np.finfo(float).min
+
+
+def support_scan(log_w, rows, policy, min_top=0):
+    """Block scan over n of `rows` laws at once, in log space.
+
+    This is the package's one truncation rule for sums over the support.
+    log_w(ns, idx) gives the unnormalized log weights of rows idx at the integer
+    array ns, shape (len(idx), len(ns)).  Each row stops at the smallest
+    block-aligned top with tail block mass < rel_tol * mass, top > mean + 12 sd
+    and top > min_top.  Weights are shifted by each row's running maximum, and
+    the mean and variance merged block by block, so no table over n is held.
+
+    Returns top, log mass, mean and variance over [0, top) per row; a row that
+    has not settled once start passes policy.max_terms gets top -1 and NaN.
+    """
+    top = np.full(rows, -1)
+    res = np.full((3, rows), np.nan)  # log mass, mean, variance of settled rows
+    act = np.arange(rows)
+    ## Running state of the rows in act, compacted as rows settle.
+    shift = np.full(rows, -np.inf)
+    mass, mean, m2 = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+    start = 0
+    while start <= policy.max_terms and act.size:
+        ns = np.arange(start, start + SUPPORT_BLOCK)
+        ## Flooring log 0 keeps the shift finite over leading zero-mass cells;
+        ## their weights drop out once positive mass raises the shift.
+        lw = np.maximum(log_w(ns, act), _LOG_FLOOR)
+        new = np.maximum(shift, lw.max(axis=1))
+        scale = np.exp(shift - new)
+        w = np.exp(lw - new[:, None])
+        bmass = w.sum(axis=1)
+        bmean = np.divide(w @ ns, bmass, out=np.zeros_like(bmass), where=bmass > 0.0)
+        bm2 = (w * (ns - bmean[:, None]) ** 2).sum(axis=1)
+        old = mass * scale
+        mass = old + bmass
+        dev = bmean - mean
+        mean = mean + dev * bmass / mass
+        m2 = m2 * scale + bm2 + dev * dev * old * bmass / mass
+        shift = new
+        start += SUPPORT_BLOCK
+        done = (bmass < policy.rel_tol * mass) & (start > mean + 12.0 * np.sqrt(m2 / mass)) & (start > min_top)
+        if done.any():
+            top[act[done]] = start
+            res[:, act[done]] = shift[done] + np.log(mass[done]), mean[done], m2[done] / mass[done]
+            keep = ~done
+            act, shift, mass, mean, m2 = act[keep], shift[keep], mass[keep], mean[keep], m2[keep]
+    return top, *res
+
+
+def support_table(log_w, policy, min_top=0):
+    """Log weights of one law over its truncated support [0, top).
+
+    log_w maps an integer array ns to unnormalized log weights, and top is
+    where support_scan stops.  The table is extended by doubling as the scan
+    asks for blocks, so log_w is called O(log top) times and no n twice.
+    Returns (ns, log_w(ns)); raises SeriesCapError when the scan passes
+    policy.max_terms without settling.
+    """
+    table = np.empty(0)
+
+    def block(ns, idx):
+        nonlocal table
+        if ns[-1] >= len(table):
+            ext = np.arange(len(table), max(2 * len(table), 2 * SUPPORT_BLOCK))
+            table = np.concatenate([table, np.asarray(log_w(ext), dtype=float)])
+        return table[None, ns[0] : ns[-1] + 1]
+
+    top = support_scan(block, 1, policy, min_top)[0][0]
+    if top < 0:
+        raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
+    return np.arange(top), table[:top]
+
+
+def support_floor(model):
+    """Least top of a support table for model: one past every perturbed point.
+
+    Reads the probe_start of a ratio sequence, the spec points of a perturbed
+    law, or the points of a mixture or canonical form; a base law gives 0.
+    Without it a scan can stop in a zero-mass gap below a far point.
+    """
+    if isinstance(model, RatioSequence):
+        return model.probe_start
+    points = model.spec.points if hasattr(model, "spec") else getattr(model, "points", ())
+    return max(points, default=-1) + 1
+
+
 class StationaryPMF:
     """Stationary law built from a ratio sequence, evaluated lazily in log space."""
 
@@ -179,11 +270,6 @@ class StationaryPMF:
 
     def pmf(self, n):
         return np.exp(self.logpmf(n))
-
-
-def stationary_pmf_from_ratios(ratio, policy=DEFAULT_POLICY):
-    """Construct the stationary PMF of a ratio sequence; errors if none exists."""
-    return StationaryPMF(ratio, policy)
 
 
 @dataclass(frozen=True)
@@ -460,8 +546,3 @@ class WeightedPMF:
 
     def pmf(self, n):
         return np.exp(self.logpmf(n))
-
-
-def weighted_pmf(base, weight, policy=DEFAULT_POLICY):
-    """Normalize w(n) * b(n) into a PMF; errors if the weighted series diverges."""
-    return WeightedPMF(base, weight, policy)

@@ -13,6 +13,8 @@ from bdcount import (
     InfDefDistribution,
     InflationSpec,
     MixtureModel,
+    SeriesCapError,
+    SeriesPolicy,
     canonicalize,
     fit_mle,
     loglik,
@@ -324,3 +326,44 @@ def test_sample_counts_deterministic_by_seed():
     c = sample_counts(model, 400, np.random.default_rng(2026))
     assert np.array_equal(a, c)
     assert abs(a.mean() - 3.0) < 5.0 * math.sqrt(3.0 / 400.0)
+
+
+def test_sample_counts_reaches_far_mixture_point():
+    mix = MixtureModel(
+        base=BaseDistribution(kind="poisson", lam=2.0),
+        variant="multiple_inflation",
+        points=(0, 200),
+        omegas=(0.1, 0.2),
+    )
+    draws = sample_counts(mix, 20000, 11)
+    assert abs(np.mean(draws == 200) - 0.2) < 5.0 * math.sqrt(0.2 * 0.8 / 20000)
+    assert set(np.unique(draws[draws > 20])) == {200}
+
+
+def test_sample_counts_raises_at_term_cap():
+    ## The mean is about 1e4, far past the 1000-term cap: no cut CDF is sampled.
+    heavy = BaseDistribution(kind="negative_binomial", lam=0.9999, r=1.0)
+    with pytest.raises(SeriesCapError):
+        sample_counts(heavy, 100, 1, SeriesPolicy(max_terms=1000))
+
+
+def test_fit_makes_one_support_pass_per_newton_point(monkeypatch):
+    import bdcount.fit
+
+    calls = []
+    real = bdcount.fit.cumulants
+
+    def counted(cf, eta=None):
+        calls.append(eta)
+        return real(cf, eta)
+
+    monkeypatch.setattr(bdcount.fit, "cumulants", counted)
+    template = InfDefDistribution(
+        BaseDistribution(kind="cmp", lam=2.0, nu=1.2),
+        InflationSpec(family="type1", points=(0, 3), factors=(1.0, 1.0)),
+    )
+    true = InfDefDistribution(template.base, InflationSpec(family="type1", points=(0, 3), factors=(1.8, 0.6)))
+    fit = fit_mle(template, CountSample.from_counts(sample_counts(true, 3000, 5)))
+    assert fit.converged and fit.iterations >= 2
+    assert len(calls) == fit.iterations + 1
+    assert fit.standard_errors is not None

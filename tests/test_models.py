@@ -13,7 +13,6 @@ from bdcount import (
     MixtureModel,
     alpha_from_omega,
     base_pmf,
-    infdef_pmf,
     mixture_pmf,
     model_from_document,
     model_pmf,
@@ -99,7 +98,7 @@ def test_type1_type2_same_law_on_full_prefix():
     f_vals = weight_f(spec2, np.arange(3))
     spec1 = InflationSpec(family="type1", points=(0, 1, 2), factors=tuple(f_vals))
     ns = np.arange(50)
-    assert np.max(np.abs(infdef_pmf(POISSON, spec1, ns) - infdef_pmf(POISSON, spec2, ns))) < 1e-14
+    assert np.max(np.abs(InfDefDistribution(POISSON, spec1).pmf(ns) - InfDefDistribution(POISSON, spec2).pmf(ns))) < 1e-14
 
 
 @pytest.mark.parametrize("psi", [0.7, -1.1])
@@ -162,7 +161,7 @@ def test_map_roundtrips_random(rng):
         ## the mixture and the perturbation are the same law
         mix = MixtureModel(base=base, variant="multiple_inflation", points=points, omegas=omegas)
         ns = np.arange(80)
-        assert np.max(np.abs(mixture_pmf(mix, ns) - infdef_pmf(base, spec, ns))) < 1e-12
+        assert np.max(np.abs(mixture_pmf(mix, ns) - InfDefDistribution(base, spec).pmf(ns))) < 1e-12
 
 
 def test_psi_link_roundtrip(rng):

@@ -12,6 +12,7 @@ from bdcount import (
     BaseDistribution,
     InfDefDistribution,
     InflationSpec,
+    MixtureModel,
     classify_sequence,
     dispersion_surface,
     equidispersion_contour,
@@ -65,6 +66,22 @@ def test_poisson_moment_summary():
     ## central band |n - 2| <= sd holds {1, 2, 3}: contribution (p(1) + p(3)) / 4
     assert abs(summ.kurtosis_central_band - 0.11277940269717726) < 1e-12
 
+
+
+def test_direct_moments_reach_far_mixture_point():
+    ## All base mass sits far below the point 200; a scan that ignores the
+    ## mixture's points stops in the empty gap and reports the mean 1.75.
+    mix = MixtureModel(
+        base=BaseDistribution(kind="poisson", lam=2.0),
+        variant="multiple_inflation",
+        points=(0, 200),
+        omegas=(0.1, 0.2),
+    )
+    summ = moments_direct(mix)
+    mean = 0.2 * 200.0 + 0.7 * 2.0
+    second = 0.2 * 200.0**2 + 0.7 * (2.0 + 4.0)
+    assert abs(summ.mean - mean) < 1e-9 * mean
+    assert abs(summ.variance - (second - mean**2)) < 1e-9 * second
 
 EQUIPHI_FROZEN = {
     3.2: 6.661353122409851,

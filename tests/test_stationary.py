@@ -12,15 +12,16 @@ from bdcount import (
     RatioSequence,
     SeriesCapError,
     SeriesPolicy,
+    StationaryPMF,
+    WeightedPMF,
     base_logpmf,
     base_pmf,
     base_ratio,
     base_ratio_sequence,
     catalogue_weight,
     log_ratio_series_sum,
-    stationary_pmf_from_ratios,
-    weighted_pmf,
 )
+from bdcount.stationary import SUPPORT_BLOCK, support_table
 
 BASES = [
     BaseDistribution(kind="geometric", lam=0.6),
@@ -44,7 +45,7 @@ def test_series_policy_bounds():
 
 @pytest.mark.parametrize("base", BASES, ids=lambda b: b.kind)
 def test_closed_pmf_matches_ratio_construction(base):
-    pmf = stationary_pmf_from_ratios(base_ratio_sequence(base))
+    pmf = StationaryPMF(base_ratio_sequence(base))
     ns = np.arange(60)
     assert np.max(np.abs(pmf.pmf(ns) - base_pmf(base, ns))) < 1e-10
 
@@ -134,7 +135,7 @@ def test_probe_start_allows_large_head_ratios():
     seq = RatioSequence(eval=lambda n: 5.0 if n < 100 else 0.2, probe_start=100)
     log_z = log_ratio_series_sum(seq)
     assert math.isfinite(log_z)
-    pmf = stationary_pmf_from_ratios(seq)
+    pmf = StationaryPMF(seq)
     assert abs(pmf.pmf(np.arange(200)).sum() - 1.0) < 1e-9
 
 
@@ -180,7 +181,7 @@ def test_catalogue_weight_recovers_target(target, reference, params):
     shape = {k: v for k, v in params.items() if k != "lam"}
     tgt = BaseDistribution(kind=target, lam=lam, **shape)
     w = catalogue_weight(target, against=reference, **params)
-    law = weighted_pmf(ref, w)
+    law = WeightedPMF(ref, w)
     ns = np.arange(80)
     assert np.max(np.abs(law.pmf(ns) - base_pmf(tgt, ns))) < 1e-10
 
@@ -199,7 +200,7 @@ def test_catalogue_weight_brute_force(name, params, reference):
     lam = 0.6 if reference == "geometric" else 1.8
     ref = BaseDistribution(kind=reference, lam=lam)
     w = catalogue_weight(name, against=reference, **params)
-    law = weighted_pmf(ref, w)
+    law = WeightedPMF(ref, w)
     ns = np.arange(120)
     raw = w.eval(ns) * base_pmf(ref, ns)
     expected = raw / raw.sum()
@@ -220,9 +221,24 @@ def test_weighted_divergence_detected():
     w = catalogue_weight("squared_exponential", against="poisson", tau=0.3)
     explode = type(w)(name="explode", log_eval=lambda ns: +np.asarray(ns, dtype=float) ** 2 * 0.3)
     with pytest.raises(DivergenceError):
-        weighted_pmf(ref, explode)
+        WeightedPMF(ref, explode)
 
 
 def test_unknown_weight_name():
     with pytest.raises(DomainError):
         catalogue_weight("cauchy", against="poisson")
+
+
+def test_support_table_evaluates_each_n_once():
+    base = BaseDistribution(kind="negative_binomial", lam=2.85, r=3.0)
+    seen = []
+
+    def log_w(ns):
+        seen.extend(ns.tolist())
+        return base_logpmf(base, ns)
+
+    ns, log_p = support_table(log_w, SeriesPolicy())
+    assert len(seen) == len(set(seen)) and set(ns.tolist()) <= set(seen)
+    assert len(ns) % SUPPORT_BLOCK == 0
+    assert np.array_equal(log_p, base_logpmf(base, ns))
+    assert abs(np.exp(log_p).sum() - 1.0) < 1e-10
