@@ -205,7 +205,9 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
         eta = to_eta(x)
         try:
             return float(t_bar @ eta - cf.A(eta))
-        except (DomainError, OverflowError):
+        except (DomainError, ArithmeticError):
+            ## a trial point outside the domain, or one whose normalizer
+            ## cannot be evaluated (overflow, z <= 0, series errors), halves the step
             return -math.inf
 
     x = to_x(cf.eta)

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import DomainError, StateExplosionError
 from .stationary import DEFAULT_POLICY, StationaryPMF, support_floor, support_table
 
-_RNG_ALGORITHM = "numpy.random.default_rng/PCG64"
+_RNG_ALGORITHM = "numpy.random.default_rng/PCG64, chunked"
+_CHUNK = 4096  # holding times and jump coins drawn per numpy call
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +103,9 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
     The default burn-in is 50 units of the slowest low-level rate,
     50 / min(mu_1, gamma_0).  max_state overrides the guard bound (ten times
     the analytic mean + 12 sd range) and exists mainly to exercise the guard.
+    Rates are evaluated once per level, when the path first reaches it
+    (levels 0 and 1 up front); levels the path never reaches are not
+    evaluated, so a bad rate there raises nothing.
     """
     ratio = _ratio_of(rates)
     target = StationaryPMF(ratio, policy)
@@ -112,53 +116,69 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
     if max_state is None:
         max_state = max(int(math.ceil(10.0 * (mean + 12.0 * sd))), 16)
 
-    gamma = np.array([float(rates.birth(n)) for n in range(max_state + 1)])
-    mu = np.array([float(rates.death(n)) for n in range(max_state + 1)])
-    if np.any(gamma[:-1] <= 0.0) or np.any(mu[1:] <= 0.0):
-        raise DomainError("birth rates below max_state and death rates above 0 must be positive")
+    up_rate, total_rate = [], []
 
+    def tabulate(n):
+        gamma = float(rates.birth(n))
+        mu = float(rates.death(n)) if n > 0 else 0.0
+        if (n < max_state and not gamma > 0.0) or (n > 0 and not mu > 0.0):
+            raise DomainError(f"birth rates below max_state and death rates above 0 must be positive (level {n})")
+        up_rate.append(gamma)
+        total_rate.append(gamma + mu)
+        return mu
+
+    tabulate(0)
+    mu_1 = tabulate(1)
     burn_in = config.burn_in_time
     if burn_in is None:
-        burn_in = 50.0 / min(mu[1], gamma[0])
+        burn_in = 50.0 / min(mu_1, up_rate[0])
     horizon = burn_in + config.sample_time
 
     rng = np.random.default_rng(config.seed)
-    occupancy = np.zeros(max_state + 1)
-    ups = np.zeros(max_state + 1)
-    downs = np.zeros(max_state + 1)
+    occupancy = [0.0] * (max_state + 1)
+    ups, downs = [0] * (max_state + 1), [0] * (max_state + 1)
     trace = []
     next_snap = burn_in
-    t = 0.0
-    x = 0
-    while t < horizon:
-        rate_up = gamma[x]
-        rate_down = mu[x] if x > 0 else 0.0
-        total = rate_up + rate_down
-        dt = rng.exponential(1.0 / total)
-        t_next = min(t + dt, horizon)
-        while next_snap < t_next:
+    t, x = 0.0, 0
+    i = _CHUNK  # draw a chunk at the first event
+    while True:
+        if i == _CHUNK:
+            holds = rng.standard_exponential(_CHUNK).tolist()
+            coins = rng.random(_CHUNK).tolist()
+            i = 0
+        total = total_rate[x]
+        t_next = t + holds[i] / total
+        t_end = t_next if t_next < horizon else horizon
+        while next_snap < t_end:
             trace.append(x)
             next_snap += config.thinning_interval
-        lo = max(t, burn_in)
-        if t_next > lo:
-            occupancy[x] += t_next - lo
-        t = t + dt
+        lo = t if t > burn_in else burn_in
+        if t_end > lo:
+            occupancy[x] += t_end - lo
+        t = t_next
         if t >= horizon:
             break
-        if rng.random() * total < rate_up:
-            if x + 1 > max_state:
+        if coins[i] * total < up_rate[x]:
+            if x == max_state:
                 raise StateExplosionError(
                     f"trajectory reached state {x + 1} past the guard bound {max_state} "
                     f"at time {t:.3f}; the rates may admit no stationary law"
                 )
             if t >= burn_in:
-                ups[x] += 1.0
+                ups[x] += 1
             x += 1
+            if x == len(up_rate):
+                tabulate(x)
         else:
             if t >= burn_in:
-                downs[x] += 1.0
+                downs[x] += 1
             x -= 1
+        i += 1
 
+    ups, downs = np.array(ups, dtype=float), np.array(downs, dtype=float)
+    events = int(ups.sum() + downs.sum())
+    ## up n -> n+1 and down n+1 -> n alternate along a path, so this is <= 1 / events
+    residual = float(np.max(np.abs(ups[:-1] - downs[1:]), initial=0.0)) / max(events, 1)
     metadata = {
         "seed": int(config.seed),
         "burn_in_time": float(burn_in),
@@ -167,11 +187,12 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
         "scheme": rates.scheme,
         "rng": _RNG_ALGORITHM,
         "max_state": int(max_state),
-        "events": int(ups.sum() + downs.sum()),
+        "events": events,
+        "detailed_balance_residual": residual,
     }
     return SimResult(
         states=np.arange(max_state + 1),
-        weights=occupancy,
+        weights=np.array(occupancy),
         up_crossings=ups,
         down_crossings=downs,
         trace=np.asarray(trace, dtype=int),

@@ -305,6 +305,21 @@ def test_null_line_search_does_not_stall():
     assert fit.iterations <= 10
 
 
+def test_line_search_halves_step_past_zero_normalizer():
+    ## A trial Newton step here drives the type 1 normalizer
+    ## z = 1 + sum (f - 1) b to 0.0 in floating point; that trial point must
+    ## count as -inf and the step be halved, not end the fit with an error.
+    s = CountSample.from_frequencies({0: 5716, 1: 2444, 2: 1474, 3: 1730, 4: 221, 5: 58, 6: 19, 7: 2, 8: 1, 9: 1})
+    template = InfDefDistribution(
+        BaseDistribution(kind="cmp", lam=1.0, nu=1.0), InflationSpec(family="type1", points=(0, 3), factors=(1.0, 1.0))
+    )
+    fit = fit_mle(template, s)
+    assert fit.converged
+    ## the fitted type 1 model reproduces the observed perturbed cells
+    fitted = np.exp(model_logpmf(fit.model, np.array([0, 3])))
+    assert np.allclose(fitted, np.array([5716, 1730]) / s.size, rtol=1e-6)
+
+
 def test_normalizer_memo_is_bounded():
     from bdcount.stationary import _NORM_MEMO_SIZE, _log_base_norm
 

@@ -1,9 +1,12 @@
 """Gillespie sampler against analytic stationary laws."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdcount import (
     BaseDistribution,
@@ -18,6 +21,7 @@ from bdcount import (
     run_ctmc,
     tv_distance,
 )
+from bdcount.simulate import _CHUNK
 
 POISSON = BaseDistribution(kind="poisson", lam=2.0)
 
@@ -149,3 +153,96 @@ def test_zero_rate_rejected():
     rates = BirthDeathRates(birth=lambda n: 0.0, death=lambda n: 1.0)
     with pytest.raises(DomainError):
         run_ctmc(rates, SimConfig(seed=0, sample_time=10.0), max_state=8)
+
+
+def test_long_run_is_deterministic_across_chunks():
+    rates = canonical_rates(base_ratio_sequence(POISSON), "linear")
+    config = SimConfig(seed=41, sample_time=5000.0)
+    a = run_ctmc(rates, config)
+    b = run_ctmc(rates, config)
+    ## the run spans several chunks of random draws
+    assert a.metadata["events"] > 3 * _CHUNK
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.trace, b.trace)
+    assert a.metadata == b.metadata
+
+
+def test_rates_evaluated_once_per_reached_level():
+    ratio = base_ratio_sequence(POISSON)
+    linear = canonical_rates(ratio, "linear")
+    births, deaths = Counter(), Counter()
+
+    def birth(n):
+        births[n] += 1
+        return linear.birth(n)
+
+    def death(n):
+        deaths[n] += 1
+        return linear.death(n)
+
+    rates = BirthDeathRates(birth=birth, death=death, scheme="linear", canonicalized_from=ratio)
+    ## a negligible burn-in, so every level the path reaches holds weight
+    result = run_ctmc(rates, SimConfig(seed=5, sample_time=200.0, burn_in_time=1e-9))
+    top = max(int(np.flatnonzero(result.weights).max()), 1)
+    assert top + 10 < result.metadata["max_state"]
+    assert set(births) == set(range(top + 1))
+    assert set(deaths) == set(range(1, top + 1))
+    assert max(births.values()) == 1 and max(deaths.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "birth, death",
+    [
+        (lambda n: 0.6 if n < 3 else 0.0, lambda n: 1.0),
+        (lambda n: 0.6 if n < 3 else math.nan, lambda n: 1.0),
+        (lambda n: 0.6, lambda n: 1.0 if n < 2 else 0.0),
+        (lambda n: 0.6, lambda n: 1.0 if n < 2 else math.nan),
+    ],
+)
+def test_bad_rate_at_reached_level_rejected(birth, death):
+    ratio = base_ratio_sequence(BaseDistribution(kind="geometric", lam=0.6))
+    rates = BirthDeathRates(birth=birth, death=death, canonicalized_from=ratio)
+    with pytest.raises(DomainError, match="level"):
+        run_ctmc(rates, SimConfig(seed=3, sample_time=2000.0))
+
+
+def test_bad_rate_at_unreached_level_not_evaluated():
+    ratio = base_ratio_sequence(BaseDistribution(kind="geometric", lam=0.6))
+    rates = BirthDeathRates(birth=lambda n: 0.6 if n < 150 else math.nan, death=lambda n: 1.0, canonicalized_from=ratio)
+    result = run_ctmc(rates, SimConfig(seed=3, sample_time=200.0))
+    assert result.metadata["max_state"] > 150
+    assert result.metadata["events"] > 0
+
+
+def test_detailed_balance_residual_in_metadata():
+    rates = canonical_rates(base_ratio_sequence(POISSON), "linear")
+    result = run_ctmc(rates, SimConfig(seed=21, sample_time=500.0))
+    events = result.metadata["events"]
+    residual = result.metadata["detailed_balance_residual"]
+    assert residual == np.max(np.abs(result.up_crossings[:-1] - result.down_crossings[1:])) / events
+    assert residual <= 1.0 / events
+
+
+@st.composite
+def sim_models(draw):
+    kind = draw(st.sampled_from(("poisson", "geometric", "negative_binomial")))
+    if kind == "poisson":
+        base = BaseDistribution(kind=kind, lam=draw(st.floats(0.2, 8.0)))
+    elif kind == "geometric":
+        base = BaseDistribution(kind=kind, lam=draw(st.floats(0.05, 0.8)))
+    else:
+        r = draw(st.floats(0.5, 6.0))
+        base = BaseDistribution(kind=kind, lam=r * draw(st.floats(0.1, 0.8)), r=r)
+    return base, draw(st.sampled_from(("linear", "constant")))
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=sim_models(), seed=st.integers(0, 2**31), sample_time=st.floats(5.0, 60.0))
+def test_sample_path_invariants(model, seed, sample_time):
+    base, scheme = model
+    rates = canonical_rates(base_ratio_sequence(base), scheme)
+    result = run_ctmc(rates, SimConfig(seed=seed, sample_time=sample_time))
+    ups, downs = result.up_crossings, result.down_crossings
+    assert np.all(np.abs(ups[:-1] - downs[1:]) <= 1.0)
+    assert abs(result.weights.sum() - sample_time) < 1e-9
+    assert result.metadata["events"] == ups.sum() + downs.sum()
