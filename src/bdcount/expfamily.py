@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, UnsupportedFamilyError
 from .models import InfDefDistribution, InflationSpec, infdef_log_z
@@ -39,6 +38,7 @@ from .stationary import (
     BaseDistribution,
     _log_base_norm,
     as_support,
+    log_gamma,
     log_ratio_series_sum,
     support_floor,
     support_table,
@@ -91,11 +91,11 @@ class CanonicalForm:
         if self.kind in ("geometric", "cmp"):
             out = np.zeros_like(ns)
         elif self.kind == "poisson":
-            out = -gammaln(ns + 1.0)
+            out = -log_gamma(1.0, ns)
         elif self.kind == "negative_binomial":
-            out = gammaln(self.r + ns) - gammaln(self.r) - gammaln(ns + 1.0)
+            out = log_gamma(self.r, ns) - math.lgamma(self.r) - log_gamma(1.0, ns)
         else:  # hyper_poisson
-            out = -(gammaln(self.tau + ns) - gammaln(self.tau))
+            out = -(log_gamma(self.tau, ns) - math.lgamma(self.tau))
         return float(out) if np.ndim(n) == 0 else out
 
     def h(self, n):
@@ -103,17 +103,13 @@ class CanonicalForm:
 
     def T(self, n):
         """Sufficient statistic; shape (d,) for scalar n, (len(n), d) for arrays."""
-        ns = as_support(n).astype(float)
-        flat = np.atleast_1d(ns)
-        cols = [flat]
+        flat = np.atleast_1d(as_support(n))
+        out = np.empty((len(flat), self.dim))
+        out[:, 0] = flat
         if self.kind == "cmp":
-            cols.append(gammaln(flat + 1.0))
-        for p in self.points:
-            if self.family == "type1":
-                cols.append((flat == p).astype(float))
-            else:
-                cols.append((flat <= p).astype(float))
-        out = np.stack(cols, axis=-1)
+            out[:, 1] = log_gamma(1.0, flat)
+        for j, p in enumerate(self.points, start=len(_BASE_SPACE[self.kind])):
+            out[:, j] = flat == p if self.family == "type1" else flat <= p
         return out[0] if np.ndim(n) == 0 else out
 
     def _base_at(self, eta):

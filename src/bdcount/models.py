@@ -232,12 +232,9 @@ def mixture_logpmf(mix, n, policy=DEFAULT_POLICY):
         idx = np.searchsorted(pts, ns)
         safe = np.minimum(idx, len(pts) - 1)
         hit = (idx < len(pts)) & (pts[safe] == ns)
-        omega_at = np.where(hit, np.asarray(mix.omegas)[safe], 0.0)
-        out = np.where(
-            hit,
-            np.log(np.maximum(omega_at + rest * np.exp(log_b), 1e-300)),
-            math.log(rest) + log_b,
-        )
+        ## Cell masses are positive by the check above; 1 stands in off the cells.
+        mass = np.where(hit, np.asarray(mix.omegas)[safe] + rest * np.exp(log_b), 1.0)
+        out = np.where(hit, np.log(mass), math.log(rest) + log_b)
     elif mix.variant == "hurdle":
         log_b0 = base_logpmf(mix.base, 0, policy)
         out = np.where(

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DivergenceError, DomainError, SeriesCapError
 from .models import (
@@ -42,6 +41,7 @@ from .models import (
 )
 from .stationary import (
     DEFAULT_POLICY,
+    SERIES_KINDS,
     SUPPORT_BLOCK,
     BaseDistribution,
     check_kind_shape,
@@ -70,7 +70,8 @@ class ClosedMoments:
     used_direct_fallback: bool = False
 
 
-## Rows evaluated together, so that a (rows, SUPPORT_BLOCK) float table stays near 1 MB.
+## Rows evaluated together, so that a (rows, SUPPORT_BLOCK) float table stays
+## near 1 MB; a point q past SUPPORT_BLOCK takes proportionally fewer rows.
 _MAX_ROWS = 2048
 
 
@@ -99,53 +100,61 @@ def moments_direct(model, policy=DEFAULT_POLICY):
     )
 
 
-def _closed_rows(kind, lams, shape, family, points, policy):
-    """Base moments and perturbed-cell sums for admissible lam values of one kind.
+## Least normalizer z of a perturbed row whose off-level sums are taken as the
+## closed-form totals less the level sums; below it they are summed directly.
+_Z_SUBTRACT = 1e-2
 
-    Returns E_b and V_b, shape (rows,), and sums, shape (3, rows, m): over each
-    cell n_i (type 1) or block n_{i-1} < k <= n_i (type 2), the sums of b(k),
-    b(k)(k - E_b) and b(k)((k - E_b)^2 - V_b).  Everything here depends on lam
-    alone.  Hyper-Poisson and CMP moments and normalizer come from one support
-    scan per row; a row whose scan passes policy.max_terms is NaN.
+
+def _closed_moments(kind, lams, shape, family, points, log_f, policy):
+    """Mean and variance of perturbed laws, rows lams x columns of log_f (m, cols).
+
+    log_f holds log f on each cell n_i (type 1) or block n_{i-1} < k <= n_i
+    (type 2).  With S_j the sums of b(k) (k - E_b)^j over each level and R_j
+    over the other k, z = R_0 + f.S_0, mean = E_b + (R_1 + f.S_1) / z and
+    var = (R_2 + f.S_2) / z - (mean - E_b)^2.  R_j are the base totals less
+    the level sums, except on rows where some z < _Z_SUBTRACT: there a support
+    scan sums the terms off the levels, so z has no cancellation.  Hyper-Poisson
+    and CMP take E_b, V_b and their normalizer from one support scan per row; a
+    row whose scan passes policy.max_terms is NaN.
     """
     lam = lams[:, None]
-    log_norm = np.zeros_like(lams)
-    if kind == "geometric":
-        e_b, v_b = lams / (1.0 - lams), lams / (1.0 - lams) ** 2
-    elif kind == "poisson":
-        e_b, v_b = lams, lams
-    elif kind == "negative_binomial":
-        p = lams / shape["r"]
-        e_b, v_b = shape["r"] * p / (1.0 - p), shape["r"] * p / (1.0 - p) ** 2
-    else:  # hyper_poisson, cmp
-        _, log_norm, e_b, v_b = support_scan(
+    ks, owner = level_cells(family, points)
+    onehot = (owner[:, None] == np.arange(len(points))).astype(float)
+    log_b = log_kernel(kind, lam, ks, **shape)
+    log_norm = np.zeros(len(lams))
+    if kind in SERIES_KINDS:
+        _, log_norm, center, v_b = support_scan(
             lambda ns, idx: log_kernel(kind, lam[idx], ns, **shape), len(lams), policy
         )
-    ks, owner = level_cells(family, points)
-    sums = np.zeros((3, len(lams), len(points)))
-    for lo in range(0, len(ks), SUPPORT_BLOCK):
-        k = ks[lo : lo + SUPPORT_BLOCK]
-        onehot = (owner[lo : lo + SUPPORT_BLOCK, None] == np.arange(len(points))).astype(float)
-        b = np.exp(log_kernel(kind, lam, k, **shape) - log_norm[:, None])
-        dev = k - e_b[:, None]
-        sums[0] += b @ onehot
-        sums[1] += (b * dev) @ onehot
-        sums[2] += (b * (dev * dev - v_b[:, None])) @ onehot
-    return e_b, v_b, sums
+        log_b = log_b - log_norm[:, None]
+    else:
+        r = shape.get("r", 1.0)  # the geometric law is the negative binomial with r = 1
+        p = lams / r
+        center, v_b = (lams, lams) if kind == "poisson" else (r * p / (1.0 - p), r * p / (1.0 - p) ** 2)
 
+    b = np.exp(log_b)
+    dev = ks - center[:, None]
+    sums = np.concatenate([b, b * dev, b * dev * dev]).dot(onehot).reshape(3, len(lams), len(points))
+    f = np.exp(log_f)
+    rest = -sums.sum(axis=2)
+    rest[0] += 1.0
+    rest[2] += v_b
+    ## sums[0] >= 0, so the least f per level bounds every column's z from below.
+    idx = np.flatnonzero(rest[0] + sums[0].dot(np.min(f, axis=1, initial=np.inf)) < _Z_SUBTRACT)
+    if idx.size:
 
-def _perturbed(e_b, v_b, sums, log_f):
-    """Mean and variance under levels log_f (m, cols) per cell or block, rows x cols.
+        def log_w(ns, sub):
+            out = log_kernel(kind, lam[idx[sub]], ns, **shape)
+            out[:, ks[(ks >= ns[0]) & (ks <= ns[-1])] - ns[0]] = -np.inf
+            return out
 
-    With coef_i = f_i - 1 and z = 1 + sum_i coef_i B0_i,
-    mean = E_b + sum_i coef_i B1_i / z and
-    var = V_b - (mean - E_b)^2 + sum_i coef_i B2_i / z.  Nodes with z <= 0 are NaN.
-    """
-    coef = np.exp(log_f) - 1.0
-    z = 1.0 + sums[0] @ coef
-    z = np.where(z > 0.0, z, np.nan)
-    shift = (sums[1] @ coef) / z
-    return e_b[:, None] + shift, v_b[:, None] - shift * shift + (sums[2] @ coef) / z
+        _, log_r, mean_r, var_r = support_scan(log_w, idx.size, policy)
+        mass, off = np.exp(log_r - log_norm[idx]), mean_r - center[idx]
+        rest[:, idx] = mass, mass * off, mass * (var_r + off * off)
+    ## dot, not @: numpy's matmul takes a slow path when len(points) is 1.
+    z, s1, s2 = rest[:, :, None] + sums.reshape(3 * len(lams), len(points)).dot(f).reshape(3, len(lams), f.shape[1])
+    shift = s1 / z
+    return center[:, None] + shift, s2 / z - shift * shift
 
 
 def moments_closed(model, policy=DEFAULT_POLICY):
@@ -168,14 +177,11 @@ def moments_closed(model, policy=DEFAULT_POLICY):
     else:
         family, points = spec.family, spec.points
         log_f = log_levels(family, np.log(spec.factors)[:, None])
-    e_b, v_b, sums = _closed_rows(
-        base.kind, np.array([base.lam]), _shape_kwargs(base.kind, base.r, base.tau, base.nu), family, points, policy
+    mean, var = _closed_moments(
+        base.kind, np.array([base.lam]), _shape_kwargs(base.kind, base.r, base.tau, base.nu), family, points, log_f, policy
     )
-    if np.isnan(e_b[0]):
-        raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
-    mean, var = _perturbed(e_b, v_b, sums, log_f)
     if np.isnan(mean[0, 0]):
-        raise ArithmeticError("perturbation normalizer must be positive")
+        raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
     return ClosedMoments(float(mean[0, 0]), float(var[0, 0]))
 
 
@@ -190,11 +196,9 @@ def equidispersion_phi(lam, q):
         raise DomainError(f"q must be a positive integer, got {q}")
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"lam must be a positive finite real, got {lam}")
-    q = int(q)
-    ks = np.arange(q, dtype=float)
+    ks = np.arange(int(q))
     ## denominator: sum_{k<q} (q - k) lam^k e^-lam / k!
-    log_terms = ks * math.log(lam) - lam - gammaln(ks + 1.0)
-    denom = float((q - ks) @ np.exp(log_terms))
+    denom = float((q - ks) @ np.exp(log_kernel("poisson", lam, ks)))
     return 1.0 + (lam - q) / denom
 
 
@@ -244,10 +248,10 @@ def dispersion_surface(kind, q, lambda_grid, phi_grid, family="type2", r=None, t
     rows = np.flatnonzero(np.isfinite(lams) & (lams > 0.0) & (lams < lam_upper(kind, r)))
     cols = np.isfinite(phis) & (phis > 0.0)
     log_f = log_levels(family, np.log(np.where(cols, phis, 1.0))[None, :])
-    for lo in range(0, len(rows), _MAX_ROWS):
-        idx = rows[lo : lo + _MAX_ROWS]
-        e_b, v_b, sums = _closed_rows(kind, lams[idx], shape, family, spec.points, policy)
-        mean, var = _perturbed(e_b, v_b, sums, log_f)
+    step = _MAX_ROWS * SUPPORT_BLOCK // max(SUPPORT_BLOCK, int(q) + 1)
+    for lo in range(0, len(rows), step):
+        idx = rows[lo : lo + step]
+        mean, var = _closed_moments(kind, lams[idx], shape, family, spec.points, log_f, policy)
         out[idx] = var / mean
     out[:, ~cols] = np.nan
     return out

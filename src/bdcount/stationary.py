@@ -31,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DivergenceError, DomainError, SeriesCapError
 
@@ -362,6 +361,56 @@ def _log_base_norm(base, policy):
     return log_ratio_series_sum(base_ratio_sequence(base), policy)
 
 
+## Spacing of the math.lgamma anchors in a log_gamma table.
+_LGAMMA_ANCHOR = 64
+## Values of x whose log_gamma tables are kept; a profile fit visits a few dozen.
+_LGAMMA_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_LGAMMA_MEMO_SIZE)
+def _lgamma_slot(x):
+    """One-element list holding the log_gamma table of x, grown in place."""
+    return [np.empty(0)]
+
+
+def log_gamma(x, ns):
+    """lgamma(x + n) for real x > 0 and integer-valued n >= 0.
+
+    Every log-gamma of the package lies on such a lattice: n! at x = 1, and
+    Gamma(r + n) / Gamma(r) at x = r.  A scalar n, or a few, go to
+    math.lgamma.  A longer array indexes a table of x, grown by doubling past
+    twice the largest n asked for, so a support scan's doubling requests
+    rebuild it rarely; the tables of the latest _LGAMMA_MEMO_SIZE values of x
+    are kept.
+    """
+    if np.ndim(ns) == 0:
+        return math.lgamma(x + ns)
+    idx = np.asarray(ns).astype(np.intp, copy=False)
+    if idx.size <= _LGAMMA_ANCHOR // 4:
+        ## A few values cost less one by one than a table for an x seen once
+        ## (the shape parameter of one surface, say).  The path depends on the
+        ## request alone, never on what the cache holds, so results repeat.
+        return np.array([math.lgamma(x + n) for n in idx.ravel().tolist()]).reshape(idx.shape)
+    slot = _lgamma_slot(x)
+    try:
+        return slot[0][idx]
+    except IndexError:
+        lo, top = len(slot[0]), 2 * int(idx.max())
+        hi = max(2 * lo, _LGAMMA_ANCHOR)
+        while hi <= top:
+            hi *= 2
+        ## A math.lgamma anchor every _LGAMMA_ANCHOR n plus the running sum of
+        ## log(x + n - 1) from it (log 1 = 0 at the anchor), summed before the
+        ## anchor is added, so each value carries about one anchor-size rounding.
+        steps = (x + np.arange(lo - 1, hi - 1, dtype=float)).reshape(-1, _LGAMMA_ANCHOR)
+        steps[:, 0] = 1.0
+        np.log(steps, out=steps)
+        np.add.accumulate(steps, axis=1, out=steps)
+        steps += np.array([math.lgamma(x + n) for n in range(lo, hi, _LGAMMA_ANCHOR)])[:, None]
+        slot[0] = np.concatenate([slot[0], steps.ravel()])
+        return slot[0][idx]
+
+
 def log_kernel(kind, lam, ns, r=None, tau=None, nu=None):
     """log b(n) of a base family, less the series normalizer of SERIES_KINDS.
 
@@ -373,28 +422,25 @@ def log_kernel(kind, lam, ns, r=None, tau=None, nu=None):
     if kind == "geometric":
         return np.log1p(-lam) + ns * log_lam
     if kind == "poisson":
-        return ns * log_lam - lam - gammaln(ns + 1.0)
+        return ns * log_lam - lam - log_gamma(1.0, ns)
     if kind == "poisson_lindley":
         return 2.0 * np.log1p(-lam) + np.log(1.0 + lam + ns * lam) + ns * log_lam
     if kind == "negative_binomial":
         return (
-            gammaln(r + ns)
-            - gammaln(r)
-            - gammaln(ns + 1.0)
+            log_gamma(r, ns)
+            - math.lgamma(r)
+            - log_gamma(1.0, ns)
             + ns * (log_lam - math.log(r))
             + r * np.log1p(-lam / r)
         )
     if kind == "hyper_poisson":
-        return ns * log_lam - (gammaln(tau + ns) - gammaln(tau))
-    return ns * log_lam - nu * gammaln(ns + 1.0)  # cmp
+        return ns * log_lam - (log_gamma(tau, ns) - math.lgamma(tau))
+    return ns * log_lam - nu * log_gamma(1.0, ns)  # cmp
 
 
 def base_logpmf(base, n, policy=DEFAULT_POLICY):
     """Closed-form log PMF of a base family; n may be a scalar or integer array."""
-    ns = np.asarray(n, dtype=float)
-    if np.any(ns < 0) or np.any(ns != np.floor(ns)):
-        raise DomainError("pmf support is the non-negative integers")
-    out = log_kernel(base.kind, base.lam, ns, base.r, base.tau, base.nu)
+    out = log_kernel(base.kind, base.lam, as_support(n), base.r, base.tau, base.nu)
     if base.kind in SERIES_KINDS:
         out = out - _log_base_norm(base, policy)
     return float(out) if np.ndim(n) == 0 else out
@@ -445,78 +491,40 @@ def catalogue_weight(name, against="poisson", **params):
     """
     if against not in ("geometric", "poisson"):
         raise DomainError(f"against must be 'geometric' or 'poisson', got {against!r}")
-    vs_poisson = against == "poisson"
 
+    ## log w against the Poisson reference, on float ns; the geometric
+    ## reference is the Poisson one times n!, so its log w lacks log n!.
     if name == "geometric":
-        log_f = (lambda ns: gammaln(np.asarray(ns, dtype=float) + 1.0)) if vs_poisson else (
-            lambda ns: np.zeros_like(np.asarray(ns, dtype=float))
-        )
+        body = lambda ns: log_gamma(1.0, ns)
     elif name == "poisson":
-        log_f = (lambda ns: np.zeros_like(np.asarray(ns, dtype=float))) if vs_poisson else (
-            lambda ns: -gammaln(np.asarray(ns, dtype=float) + 1.0)
-        )
+        body = np.zeros_like
     elif name == "poisson_lindley":
         lam = _need(params, "lam", name)
-
-        def log_f(ns, lam=lam):
-            ns = np.asarray(ns, dtype=float)
-            body = np.log(1.0 + (ns + 1.0) * lam)
-            return body + gammaln(ns + 1.0) if vs_poisson else body
-
+        body = lambda ns: np.log(1.0 + (ns + 1.0) * lam) + log_gamma(1.0, ns)
     elif name == "negative_binomial":
         r = _need(params, "r", name)
-
-        def log_f(ns, r=r):
-            ns = np.asarray(ns, dtype=float)
-            body = gammaln(r + ns) - gammaln(r) - ns * math.log(r)
-            return body if vs_poisson else body - gammaln(ns + 1.0)
-
+        body = lambda ns: log_gamma(r, ns) - math.lgamma(r) - ns * math.log(r)
     elif name == "hyper_poisson":
         tau = _need(params, "tau", name)
-
-        def log_f(ns, tau=tau):
-            ns = np.asarray(ns, dtype=float)
-            body = -(gammaln(tau + ns) - gammaln(tau))
-            return body + gammaln(ns + 1.0) if vs_poisson else body
-
+        body = lambda ns: log_gamma(1.0, ns) - (log_gamma(tau, ns) - math.lgamma(tau))
     elif name == "cmp":
         nu = _need(params, "nu", name)
-
-        def log_f(ns, nu=nu):
-            ns = np.asarray(ns, dtype=float)
-            return (1.0 - nu) * gammaln(ns + 1.0) if vs_poisson else -nu * gammaln(ns + 1.0)
-
-    elif name == "weighted_poisson":
-        ## Poisson body tilted by (n + tau)^r.
-        r = _need(params, "r", name)
+        body = lambda ns: (1.0 - nu) * log_gamma(1.0, ns)
+    elif name == "weighted_poisson":  # Poisson body tilted by (n + tau)^r
+        r, tau = _need(params, "r", name), _need(params, "tau", name)
+        body = lambda ns: r * np.log(ns + tau)
+    elif name == "squared_exponential":  # Poisson body damped by exp(-n^2 tau)
         tau = _need(params, "tau", name)
-
-        def log_f(ns, r=r, tau=tau):
-            ns = np.asarray(ns, dtype=float)
-            body = r * np.log(ns + tau)
-            return body if vs_poisson else body - gammaln(ns + 1.0)
-
-    elif name == "squared_exponential":
-        ## Poisson body damped by exp(-n^2 tau).
-        tau = _need(params, "tau", name)
-
-        def log_f(ns, tau=tau):
-            ns = np.asarray(ns, dtype=float)
-            body = -(ns * ns) * tau
-            return body if vs_poisson else body - gammaln(ns + 1.0)
-
-    elif name == "damped_cmp":
-        ## CMP body damped by exp(-n^2 tau).
-        tau = _need(params, "tau", name)
-        nu = _need(params, "nu", name)
-
-        def log_f(ns, tau=tau, nu=nu):
-            ns = np.asarray(ns, dtype=float)
-            body = -(ns * ns) * tau
-            return body - (nu - 1.0) * gammaln(ns + 1.0) if vs_poisson else body - nu * gammaln(ns + 1.0)
-
+        body = lambda ns: -(ns * ns) * tau
+    elif name == "damped_cmp":  # CMP body damped by exp(-n^2 tau)
+        tau, nu = _need(params, "tau", name), _need(params, "nu", name)
+        body = lambda ns: -(ns * ns) * tau - (nu - 1.0) * log_gamma(1.0, ns)
     else:
         raise DomainError(f"unknown weight name {name!r}")
+
+    def log_f(ns):
+        ns = np.asarray(ns, dtype=float)
+        return body(ns) if against == "poisson" else body(ns) - log_gamma(1.0, ns)
 
     return WeightFunction(name=f"{name}/{against}", log_eval=log_f, params=dict(params))
 
@@ -538,9 +546,7 @@ class WeightedPMF:
         self.log_norm = log_first + log_ratio_series_sum(ratio, policy)
 
     def logpmf(self, n):
-        ns = np.asarray(n, dtype=float)
-        if np.any(ns < 0) or np.any(ns != np.floor(ns)):
-            raise DomainError("pmf support is the non-negative integers")
+        ns = as_support(n)
         out = self.weight.log_eval(ns) + base_logpmf(self.base, ns, self.policy) - self.log_norm
         return float(out) if np.ndim(n) == 0 else out
 

@@ -331,3 +331,13 @@ def test_cli_roundtrip_pmf_to_fit(tmp_path):
     eta_hat = np.asarray(json.loads(fit.stdout)["eta_hat"])
     eta_true = canonicalize(model_from_document(PERTURBED_SPEC)).eta
     assert np.all(np.abs(eta_hat - eta_true) < 1e-6)
+
+
+def test_cold_import_loads_no_scipy():
+    ## numpy is the only runtime dependency; scipy serves the tests as an oracle.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bdcount.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

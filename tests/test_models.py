@@ -1,6 +1,7 @@
 """Inflation-deflation laws, mixture equivalences, and JSON documents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bdcount import (
     base_pmf,
     mixture_pmf,
     model_from_document,
+    model_logpmf,
     model_pmf,
     model_to_document,
     modified_ratio,
@@ -238,5 +240,22 @@ def test_strict_open_region_enforced_at_eval():
     b0 = base_pmf(base, 0)
     omega = -b0 / (1.0 - b0)  # omega + (1 - omega) b0 == 0
     mix = MixtureModel(base=base, variant="zero_inflated", points=(0,), omegas=(omega,))
-    with pytest.raises(DomainError, match="l2"):
-        mixture_pmf(mix, np.arange(5))
+    ## A fully deflated cell is a typed error, not the log of 0 with a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="l2"):
+            mixture_pmf(mix, np.arange(5))
+
+
+def test_tiny_cell_mass_is_not_clamped():
+    ## b(0) = e^-800 underflows, so the cell mass is omega alone: log(1e-310), not log(1e-300).
+    mix = MixtureModel(
+        base=BaseDistribution(kind="poisson", lam=800.0), variant="zero_inflated", points=(0,), omegas=(1e-310,)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(model_logpmf(mix, 0) - math.log(1e-310)) < 1e-10
+        out = model_logpmf(mix, np.array([0, 1, 800]))
+    assert abs(out[0] - math.log(1e-310)) < 1e-10
+    assert np.all(np.isfinite(out))
+

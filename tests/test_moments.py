@@ -55,6 +55,23 @@ def test_closed_matches_direct_random(rng):
         assert abs(closed.variance - direct.variance) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "base, family, q",
+    [
+        (BaseDistribution(kind="geometric", lam=0.02), "type2", 3),
+        (BaseDistribution(kind="hyper_poisson", lam=0.359, tau=1.7), "type2", 5),
+        (BaseDistribution(kind="poisson", lam=0.05), "type1", 0),
+    ],
+)
+def test_closed_moments_when_levels_hold_nearly_all_mass(base, family, q):
+    ## phi << 1 on levels holding all but ~1e-7 of the base mass: the rest of
+    ## the support must be summed, not taken as 1 minus the level mass.
+    model = InfDefDistribution(base, InflationSpec(family=family, points=(q,), factors=(1e-9,)))
+    closed, direct = moments_closed(model), moments_direct(model)
+    assert abs(closed.mean - direct.mean) <= 1e-10 * direct.mean
+    assert abs(closed.variance / closed.mean - direct.dispersion_index) <= 1e-10 * direct.dispersion_index
+
+
 def test_poisson_moment_summary():
     lam = 2.0
     summ = moments_direct(BaseDistribution(kind="poisson", lam=lam))

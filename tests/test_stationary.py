@@ -21,7 +21,7 @@ from bdcount import (
     catalogue_weight,
     log_ratio_series_sum,
 )
-from bdcount.stationary import SUPPORT_BLOCK, support_table
+from bdcount.stationary import _LGAMMA_MEMO_SIZE, SUPPORT_BLOCK, _lgamma_slot, log_gamma, support_table
 
 BASES = [
     BaseDistribution(kind="geometric", lam=0.6),
@@ -242,3 +242,41 @@ def test_support_table_evaluates_each_n_once():
     assert len(ns) % SUPPORT_BLOCK == 0
     assert np.array_equal(log_p, base_logpmf(base, ns))
     assert abs(np.exp(log_p).sum() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("x", [1.0, 1e-3, 0.3, 1.7, 2.2, 7.5, 25.0, 100.0])
+def test_log_gamma_matches_scipy(x):
+    gammaln = pytest.importorskip("scipy.special").gammaln
+    _lgamma_slot.cache_clear()
+    ## Growing calls first, so the table passes several doublings before the full check.
+    for top in (10, 200, 1000, 100_001):
+        ns = np.arange(top)
+        ref = gammaln(x + ns)
+        assert np.max(np.abs(log_gamma(x, ns) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+    ## Float and unordered arrays index the same table; scalars go to math.lgamma.
+    ns = np.array([99_999.0, 0.0, 63.0, 64.0, 5.0])
+    assert np.array_equal(log_gamma(x, ns), log_gamma(x, ns.astype(int)))
+    for n in (0, 1, 63, 64, 4097, 99_999):
+        got = log_gamma(x, n)
+        assert isinstance(got, float)
+        assert abs(got - gammaln(x + n)) <= 1e-13 * max(1.0, abs(gammaln(x + n)))
+
+
+def test_log_gamma_tables_are_bounded():
+    for i in range(3 * _LGAMMA_MEMO_SIZE):
+        log_gamma(0.5 + 0.01 * i, np.arange(100))
+    info = _lgamma_slot.cache_info()
+    assert info.maxsize == _LGAMMA_MEMO_SIZE
+    assert info.currsize <= _LGAMMA_MEMO_SIZE
+
+
+def test_log_gamma_values_do_not_depend_on_the_cache():
+    ## A cold process and a warm one must print the same numbers.
+    requests = [np.arange(5), np.arange(70), np.arange(300), np.array([299, 3, 1000])]
+    _lgamma_slot.cache_clear()
+    cold = [log_gamma(2.5, ns) for ns in requests]
+    log_gamma(2.5, np.arange(5000))
+    warm = [log_gamma(2.5, ns) for ns in requests]
+    _lgamma_slot.cache_clear()
+    fresh = [log_gamma(2.5, ns) for ns in reversed(requests)][::-1]
+    assert all(np.array_equal(a, b) and np.array_equal(a, c) for a, b, c in zip(cold, warm, fresh))
