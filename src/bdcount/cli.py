@@ -49,7 +49,7 @@ from .moments import (
     moments_direct,
 )
 from .simulate import SimConfig, canonical_rates, run_ctmc, tv_distance
-from .stationary import BaseDistribution, SeriesPolicy
+from .stationary import SHAPE_PARAM, BaseDistribution, SeriesPolicy
 
 
 def fmt(x):
@@ -217,19 +217,12 @@ def read_count_data(path):
 
 
 def _shape_kwargs_from(args, kind):
-    if kind == "negative_binomial":
-        if args.r is None:
-            raise DomainError("negative_binomial requires --r")
-        return {"r": args.r}
-    if kind == "hyper_poisson":
-        if args.tau is None:
-            raise DomainError("hyper_poisson requires --tau")
-        return {"tau": args.tau}
-    if kind == "cmp":
-        if args.nu is None:
-            raise DomainError("cmp requires --nu")
-        return {"nu": args.nu}
-    return {}
+    name = SHAPE_PARAM.get(kind)
+    if name is None:
+        return {}
+    if getattr(args, name) is None:
+        raise DomainError(f"{kind} requires --{name}")
+    return {name: getattr(args, name)}
 
 
 def _fit_template(args, policy):

@@ -229,12 +229,12 @@ def mixture_logpmf(mix, n, policy=DEFAULT_POLICY):
         b_pts = base_pmf(mix.base, pts, policy)
         _check_pointwise_mass(mix.points, mix.omegas, b_pts)
         rest = 1.0 - sum(mix.omegas)
+        ## The checked cell masses themselves, so each log sees a positive value.
+        log_cell = np.log(np.asarray(mix.omegas) + rest * b_pts)
         idx = np.searchsorted(pts, ns)
         safe = np.minimum(idx, len(pts) - 1)
         hit = (idx < len(pts)) & (pts[safe] == ns)
-        ## Cell masses are positive by the check above; 1 stands in off the cells.
-        mass = np.where(hit, np.asarray(mix.omegas)[safe] + rest * np.exp(log_b), 1.0)
-        out = np.where(hit, np.log(mass), math.log(rest) + log_b)
+        out = np.where(hit, log_cell[safe], math.log(rest) + log_b)
     elif mix.variant == "hurdle":
         log_b0 = base_logpmf(mix.base, 0, policy)
         out = np.where(

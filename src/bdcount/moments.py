@@ -42,6 +42,7 @@ from .models import (
 from .stationary import (
     DEFAULT_POLICY,
     SERIES_KINDS,
+    SHAPE_PARAM,
     SUPPORT_BLOCK,
     BaseDistribution,
     check_kind_shape,
@@ -71,7 +72,7 @@ class ClosedMoments:
 
 
 ## Rows evaluated together, so that a (rows, SUPPORT_BLOCK) float table stays
-## near 1 MB; a point q past SUPPORT_BLOCK takes proportionally fewer rows.
+## near 1 MB; more level cells than SUPPORT_BLOCK take proportionally fewer rows.
 _MAX_ROWS = 2048
 
 
@@ -203,13 +204,8 @@ def equidispersion_phi(lam, q):
 
 
 def _shape_kwargs(kind, r, tau, nu):
-    if kind == "negative_binomial":
-        return {"r": r}
-    if kind == "hyper_poisson":
-        return {"tau": tau}
-    if kind == "cmp":
-        return {"nu": nu}
-    return {}
+    name = SHAPE_PARAM.get(kind)
+    return {name: {"r": r, "tau": tau, "nu": nu}[name]} if name else {}
 
 
 def dispersion_index_at(kind, q, lam, phi, family="type2", r=None, tau=None, nu=None, policy=DEFAULT_POLICY):
@@ -248,7 +244,8 @@ def dispersion_surface(kind, q, lambda_grid, phi_grid, family="type2", r=None, t
     rows = np.flatnonzero(np.isfinite(lams) & (lams > 0.0) & (lams < lam_upper(kind, r)))
     cols = np.isfinite(phis) & (phis > 0.0)
     log_f = log_levels(family, np.log(np.where(cols, phis, 1.0))[None, :])
-    step = _MAX_ROWS * SUPPORT_BLOCK // max(SUPPORT_BLOCK, int(q) + 1)
+    cells = int(q) + 1 if family == "type2" else 1  # the block 0..q, or the cell q
+    step = max(1, _MAX_ROWS * SUPPORT_BLOCK // max(SUPPORT_BLOCK, cells))
     for lo in range(0, len(rows), step):
         idx = rows[lo : lo + step]
         mean, var = _closed_moments(kind, lams[idx], shape, family, spec.points, log_f, policy)

@@ -42,6 +42,8 @@ KINDS = (
     "hyper_poisson",
     "cmp",
 )
+## The one extra shape parameter of each kind that takes one.
+SHAPE_PARAM = {"negative_binomial": "r", "hyper_poisson": "tau", "cmp": "nu"}
 
 ## Width of the sliding window used to flag a divergent ratio sequence.
 _PROBE_WINDOW = 64
@@ -301,7 +303,7 @@ def check_kind_shape(kind, r=None, tau=None, nu=None):
     """Raise DomainError unless kind is known and carries exactly its shape parameter."""
     if kind not in KINDS:
         raise DomainError(f"unknown base kind {kind!r}; expected one of {KINDS}")
-    needed = {"negative_binomial": "r", "hyper_poisson": "tau", "cmp": "nu"}.get(kind)
+    needed = SHAPE_PARAM.get(kind)
     for name, val in (("r", r), ("tau", tau), ("nu", nu)):
         if name == needed:
             if val is None or not (math.isfinite(val) and val > 0.0):
@@ -363,6 +365,10 @@ def _log_base_norm(base, policy):
 
 ## Spacing of the math.lgamma anchors in a log_gamma table.
 _LGAMMA_ANCHOR = 64
+## Most n that log_gamma sends to math.lgamma one by one instead of a table.
+_LGAMMA_FEW = 16
+## Entries of the longest log_gamma table (512 KB); n past it go to math.lgamma.
+_LGAMMA_TABLE_MAX = 1 << 16
 ## Values of x whose log_gamma tables are kept; a profile fit visits a few dozen.
 _LGAMMA_MEMO_SIZE = 128
 
@@ -377,28 +383,36 @@ def log_gamma(x, ns):
     """lgamma(x + n) for real x > 0 and integer-valued n >= 0.
 
     Every log-gamma of the package lies on such a lattice: n! at x = 1, and
-    Gamma(r + n) / Gamma(r) at x = r.  A scalar n, or a few, go to
-    math.lgamma.  A longer array indexes a table of x, grown by doubling past
-    twice the largest n asked for, so a support scan's doubling requests
-    rebuild it rarely; the tables of the latest _LGAMMA_MEMO_SIZE values of x
-    are kept.
+    Gamma(r + n) / Gamma(r) at x = r.  A scalar n, or up to _LGAMMA_FEW of
+    them, go to math.lgamma: building a table costs more for an x seen once,
+    such as the shape parameter of one negative-binomial surface.  A longer
+    array indexes a table of x, grown by doubling past twice the largest n
+    asked for, so a support scan's doubling requests rebuild it rarely, and
+    kept for the latest _LGAMMA_MEMO_SIZE values of x; n at or past
+    _LGAMMA_TABLE_MAX go to math.lgamma one by one.  The path depends on the
+    request alone, so a value never depends on what the cache holds.
+
+    n is not checked here, on the hot path of every fit and scan: a negative
+    n would index the table from its end.  Callers pass support scans' ranges
+    or points validated by as_support.
     """
     if np.ndim(ns) == 0:
         return math.lgamma(x + ns)
     idx = np.asarray(ns).astype(np.intp, copy=False)
-    if idx.size <= _LGAMMA_ANCHOR // 4:
-        ## A few values cost less one by one than a table for an x seen once
-        ## (the shape parameter of one surface, say).  The path depends on the
-        ## request alone, never on what the cache holds, so results repeat.
+    if idx.size <= _LGAMMA_FEW:
         return np.array([math.lgamma(x + n) for n in idx.ravel().tolist()]).reshape(idx.shape)
     slot = _lgamma_slot(x)
     try:
         return slot[0][idx]
     except IndexError:
-        lo, top = len(slot[0]), 2 * int(idx.max())
-        hi = max(2 * lo, _LGAMMA_ANCHOR)
-        while hi <= top:
-            hi *= 2
+        top = int(idx.max())
+        if top >= _LGAMMA_TABLE_MAX:
+            far = idx >= _LGAMMA_TABLE_MAX
+            out = log_gamma(x, np.where(far, 0, idx))
+            out[far] = [math.lgamma(x + n) for n in idx[far].tolist()]
+            return out
+        ## The least _LGAMMA_ANCHOR * 2^k past 2 top, so the table at least doubles.
+        lo, hi = len(slot[0]), min(_LGAMMA_ANCHOR << (2 * top // _LGAMMA_ANCHOR).bit_length(), _LGAMMA_TABLE_MAX)
         ## A math.lgamma anchor every _LGAMMA_ANCHOR n plus the running sum of
         ## log(x + n - 1) from it (log 1 = 0 at the anchor), summed before the
         ## anchor is added, so each value carries about one anchor-size rounding.
@@ -523,7 +537,7 @@ def catalogue_weight(name, against="poisson", **params):
         raise DomainError(f"unknown weight name {name!r}")
 
     def log_f(ns):
-        ns = np.asarray(ns, dtype=float)
+        ns = as_support(ns).astype(float)
         return body(ns) if against == "poisson" else body(ns) - log_gamma(1.0, ns)
 
     return WeightFunction(name=f"{name}/{against}", log_eval=log_f, params=dict(params))

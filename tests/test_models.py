@@ -259,3 +259,28 @@ def test_tiny_cell_mass_is_not_clamped():
     assert abs(out[0] - math.log(1e-310)) < 1e-10
     assert np.all(np.isfinite(out))
 
+
+
+@pytest.mark.parametrize(
+    "base, point",
+    [
+        (BaseDistribution(kind="negative_binomial", lam=0.7, r=1.3), 9),
+        (BaseDistribution(kind="hyper_poisson", lam=2.5, tau=2.6), 13),
+        (BaseDistribution(kind="cmp", lam=3.3, nu=1.3), 8),
+    ],
+)
+def test_cell_mass_next_to_l2_is_the_checked_one(base, point):
+    ## omega a few ulps inside l2: the log takes the positive mass the check saw,
+    ## whether n comes alone or in an array.  At these nodes b(n) from a long
+    ## array and from math.lgamma differ in the 15th digit.
+    b = base_pmf(base, np.array([point]))[0]
+    omega = -b / (1.0 - b)
+    while not omega + (1.0 - omega) * b > 0.0:
+        omega = np.nextafter(omega, 0.0)
+    mix = MixtureModel(base=base, variant="multiple_inflation", points=(point,), omegas=(float(omega),))
+    want = math.log(omega + (1.0 - omega) * b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone, in_array = model_logpmf(mix, point), model_logpmf(mix, np.arange(2 * point + 1))[point]
+    assert alone == in_array
+    assert abs(alone - want) <= 1e-12 * abs(want)

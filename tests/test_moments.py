@@ -178,6 +178,15 @@ def test_equidispersed_reference_grid():
         assert _matches_printed(summ.kurtosis_central_band / summ.kurtosis, frac_ref, 4)
 
 
+@pytest.mark.parametrize("kind, index", [("geometric", 1.0 / (1.0 - 0.5)), ("poisson", 1.0)])
+def test_dispersion_surface_at_large_q(kind, index):
+    ## A type-2 block past 2048 * SUPPORT_BLOCK cells still gets a row at a
+    ## time; with the base mass all inside the block, scaling it leaves the
+    ## base dispersion index.
+    grid = dispersion_surface(kind, 140_000, [0.5, 0.5], [0.5, 2.0])
+    assert np.all(np.abs(grid - index) <= 1e-12 * index)
+
+
 def test_dispersion_surface_marks_bad_nodes():
     ## geometric base diverges past lam = 1: those nodes must be NaN, not errors.
     lams = np.array([0.5, 0.9, 1.5, 1.0])

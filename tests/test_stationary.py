@@ -21,7 +21,15 @@ from bdcount import (
     catalogue_weight,
     log_ratio_series_sum,
 )
-from bdcount.stationary import _LGAMMA_MEMO_SIZE, SUPPORT_BLOCK, _lgamma_slot, log_gamma, support_table
+from bdcount.stationary import (
+    _LGAMMA_FEW,
+    _LGAMMA_MEMO_SIZE,
+    _LGAMMA_TABLE_MAX,
+    SUPPORT_BLOCK,
+    _lgamma_slot,
+    log_gamma,
+    support_table,
+)
 
 BASES = [
     BaseDistribution(kind="geometric", lam=0.6),
@@ -253,9 +261,11 @@ def test_log_gamma_matches_scipy(x):
         ns = np.arange(top)
         ref = gammaln(x + ns)
         assert np.max(np.abs(log_gamma(x, ns) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
-    ## Float and unordered arrays index the same table; scalars go to math.lgamma.
-    ns = np.array([99_999.0, 0.0, 63.0, 64.0, 5.0])
+    ## Float and unordered arrays index the same table; scalars and a few n go to math.lgamma.
+    ns = np.append([99_999.0, 0.0, 63.0, 64.0, 5.0], np.arange(_LGAMMA_FEW, 0, -1))
     assert np.array_equal(log_gamma(x, ns), log_gamma(x, ns.astype(int)))
+    few = ns[:_LGAMMA_FEW].astype(int)
+    assert np.array_equal(log_gamma(x, few), [math.lgamma(x + n) for n in few.tolist()])
     for n in (0, 1, 63, 64, 4097, 99_999):
         got = log_gamma(x, n)
         assert isinstance(got, float)
@@ -263,11 +273,46 @@ def test_log_gamma_matches_scipy(x):
 
 
 def test_log_gamma_tables_are_bounded():
-    for i in range(3 * _LGAMMA_MEMO_SIZE):
-        log_gamma(0.5 + 0.01 * i, np.arange(100))
+    _lgamma_slot.cache_clear()
+    xs = [0.5 + 0.01 * i for i in range(3 * _LGAMMA_MEMO_SIZE)]
+    head = np.arange(_LGAMMA_FEW)
+    for x in xs:
+        log_gamma(x, np.append(head, [99, 10**9]))
+    ## A request just short of the longest table stops the table there, not at twice n.
+    log_gamma(xs[-1], np.append(head, _LGAMMA_TABLE_MAX - 1))
     info = _lgamma_slot.cache_info()
     assert info.maxsize == _LGAMMA_MEMO_SIZE
     assert info.currsize <= _LGAMMA_MEMO_SIZE
+    sizes = [_lgamma_slot(x)[0].nbytes for x in xs[-_LGAMMA_MEMO_SIZE:]]
+    assert max(sizes) == _LGAMMA_TABLE_MAX * 8
+    assert sum(sizes) <= _LGAMMA_MEMO_SIZE * _LGAMMA_TABLE_MAX * 8 <= 64 << 20
+    _lgamma_slot.cache_clear()
+
+
+def test_log_gamma_far_n_skip_the_table():
+    ## n past the longest table go to math.lgamma one by one, whatever their size.
+    _lgamma_slot.cache_clear()
+    ns = np.arange(17) + 10**9
+    got = base_logpmf(BaseDistribution(kind="poisson", lam=3.0), ns)
+    ref = np.array([n * math.log(3.0) - 3.0 - math.lgamma(n + 1.0) for n in ns.tolist()])
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+    assert _lgamma_slot(1.0)[0].size <= 64
+    ## Near and far n in one request: the table grows for the near ones only.
+    got = log_gamma(2.5, np.append(np.arange(_LGAMMA_FEW) + 55, [10**9, _LGAMMA_TABLE_MAX]))
+    assert np.array_equal(got[-2:], [math.lgamma(2.5 + 10**9), math.lgamma(2.5 + _LGAMMA_TABLE_MAX)])
+    ref = np.array([math.lgamma(57.5 + n) for n in range(_LGAMMA_FEW)])
+    assert np.all(np.abs(got[:-2] - ref) <= 1e-13 * ref)
+    assert _lgamma_slot(2.5)[0].size == 256
+
+
+@pytest.mark.parametrize("ns", [np.arange(40) - 1, np.array([2.0, 2.5]), 2.5])
+def test_weight_function_rejects_points_off_the_support(ns):
+    ## Negative n would wrap round a log_gamma table and fractional n be truncated.
+    w = catalogue_weight("negative_binomial", r=2.5)
+    with pytest.raises(DomainError):
+        w.log_g(ns)
+    with pytest.raises(DomainError):
+        w.eval(ns)
 
 
 def test_log_gamma_values_do_not_depend_on_the_cache():
