@@ -16,7 +16,6 @@ from bdcount import (
     InflationSpec,
     base_pmf,
     base_ratio,
-    model_to_document,
     modified_ratio,
 )
 
@@ -48,4 +47,4 @@ for n in ns:
     print(f"{n}  {lam_b[n]:.4f}    {lam_1[n]:.4f}    {lam_2[n]:.4f}{marks}")
 
 print("\n=== JSON document form (CLI --spec input) ===")
-print(json.dumps(model_to_document(t2), indent=2))
+print(json.dumps(t2.to_document(), indent=2))

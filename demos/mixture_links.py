@@ -18,7 +18,6 @@ from bdcount import (
     InflationSpec,
     MixtureModel,
     alpha_from_omega,
-    mixture_pmf,
     omega_from_alpha,
 )
 
@@ -34,14 +33,14 @@ ns = np.arange(12)
 print("=== mixture == type 1 under the weight/factor maps ===")
 print("alpha from omega:", tuple(f"{a:.6f}" for a in alphas))
 print("omega recovered :", tuple(f"{w:.6f}" for w in omega_from_alpha(base, t1.spec)))
-print("max pmf gap     :", f"{np.max(np.abs(mixture_pmf(mix, ns) - t1.pmf(ns))):.2e}")
+print("max pmf gap     :", f"{np.max(np.abs(mix.pmf(ns) - t1.pmf(ns))):.2e}")
 
 print("\n=== zero-cell odds tilt: three equal parameterizations ===")
 psi = 0.9
 tilt = MixtureModel(base=base, variant="haslett", psi=psi)
 t1_zero = InfDefDistribution(base, InflationSpec(family="type1", points=(0,), factors=(math.exp(psi),)))
 t2_zero = InfDefDistribution(base, InflationSpec(family="type2", points=(0,), factors=(math.exp(psi),)))
-print("tilt p(0..4)  :", " ".join(f"{v:.5f}" for v in mixture_pmf(tilt, np.arange(5))))
+print("tilt p(0..4)  :", " ".join(f"{v:.5f}" for v in tilt.pmf(np.arange(5))))
 print("type1 p(0..4) :", " ".join(f"{v:.5f}" for v in t1_zero.pmf(np.arange(5))))
 print("type2 p(0..4) :", " ".join(f"{v:.5f}" for v in t2_zero.pmf(np.arange(5))))
 
@@ -51,4 +50,4 @@ for lam in (5.0, 20.0, 80.0):
     big = BaseDistribution(kind="poisson", lam=lam)
     pinned = MixtureModel(base=big, variant="zero_inflated", points=(0,), omegas=(0.25,))
     free = InfDefDistribution(big, InflationSpec(family="type1", points=(0,), factors=(alphas[0],)))
-    print(f"{lam:5.0f}  {mixture_pmf(pinned, np.asarray([0]))[0]:-12.6f}  {free.pmf(np.asarray([0]))[0]:-12.6f}")
+    print(f"{lam:5.0f}  {pinned.pmf(np.asarray([0]))[0]:-12.6f}  {free.pmf(np.asarray([0]))[0]:-12.6f}")

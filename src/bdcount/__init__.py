@@ -35,13 +35,10 @@ from .models import (
     MixtureModel,
     alpha_from_omega,
     log_weight_f,
-    mixture_pmf,
     model_from_document,
     model_logpmf,
     model_pmf,
-    model_ratio,
     model_ratio_sequence,
-    model_to_document,
     modified_ratio,
     omega_from_alpha,
     omega_from_psi,

@@ -31,15 +31,12 @@ from .errors import (
 )
 from .fit import CountSample, fit_mle, profile_fit
 from .models import (
+    MIXTURE_VARIANTS,
     InfDefDistribution,
     InflationSpec,
     MixtureModel,
-    alpha_from_omega,
     model_from_document,
-    model_logpmf,
     model_pmf,
-    model_ratio_sequence,
-    model_to_document,
 )
 from .moments import (
     dispersion_surface,
@@ -114,22 +111,6 @@ def _range(text):
     if len(parts) != 2:
         raise DomainError(f"range must be lo:hi, got {text!r}")
     return float(parts[0]), float(parts[1])
-
-
-def _as_ratio_model(model, policy):
-    """Reduce any model to one with a birth-death ratio sequence."""
-    if isinstance(model, (BaseDistribution, InfDefDistribution)):
-        return model
-    base = model.base
-    if model.variant in ("zero_inflated", "multiple_inflation"):
-        alphas = alpha_from_omega(base, model.points, model.omegas, policy)
-    elif model.variant == "haslett":
-        alphas = (math.exp(model.psi),)
-    else:  # hurdle: match the total zero mass pi
-        b0 = math.exp(model_logpmf(base, 0, policy))
-        alphas = (model.pi * (1.0 - b0) / ((1.0 - model.pi) * b0),)
-    spec = InflationSpec(family="type1", points=model.points, factors=alphas)
-    return InfDefDistribution(base, spec, policy)
 
 
 def cmd_pmf(args):
@@ -238,13 +219,12 @@ def _fit_template(args, policy):
     points = tuple(int(p) for p in args.points.split(",")) if args.points else None
     if not points:
         raise DomainError(f"family {args.family!r} requires --points")
-    if args.family in ("type1", "type2"):
-        spec = InflationSpec(family=args.family, points=points, factors=(1.0,) * len(points))
-        return InfDefDistribution(base, spec, policy)
-    if args.family == "mixture":
-        variant = "zero_inflated" if points == (0,) and args.variant == "zero_inflated" else "multiple_inflation"
-        return MixtureModel(base=base, variant=variant, points=points, omegas=(0.0,) * len(points))
-    raise DomainError(f"unknown family {args.family!r}")
+    family = "type1" if args.family == "mixture" else args.family
+    template = InfDefDistribution(base, InflationSpec(family, points, (1.0,) * len(points)), policy)
+    if args.family != "mixture":
+        return template
+    variant = args.variant or ("zero_inflated" if points == (0,) else "multiple_inflation")
+    return MixtureModel.from_type1(template, variant)
 
 
 def cmd_fit(args):
@@ -257,7 +237,7 @@ def cmd_fit(args):
     else:
         result = fit_mle(template, sample, policy=policy)
     doc = {
-        "model": model_to_document(result.model),
+        "model": result.model.to_document(),
         "eta_hat": [float(v) for v in result.eta_hat],
         "loglik": result.loglik,
         "aic": result.aic,
@@ -338,9 +318,7 @@ def cmd_contour(args):
 
 def cmd_simulate(args):
     model, policy = _load_spec(args)
-    model = _as_ratio_model(model, policy)
-    ratio = model_ratio_sequence(model)
-    rates = canonical_rates(ratio, scheme=args.death_rates)
+    rates = canonical_rates(model.ratio_sequence(policy), scheme=args.death_rates)
     config = SimConfig(
         seed=args.seed,
         sample_time=args.sample_time,
@@ -518,7 +496,10 @@ def build_parser():
     p.add_argument("--family", choices=("base", "type1", "type2", "mixture"), default="base")
     _add_shape_flags(p)
     p.add_argument("--points", default=None, help="comma-separated perturbation points")
-    p.add_argument("--variant", default="zero_inflated", help="mixture variant when --family mixture")
+    p.add_argument(
+        "--variant", choices=MIXTURE_VARIANTS, default=None,
+        help="mixture variant when --family mixture (default zero_inflated at --points 0, else multiple_inflation)",
+    )
     p.add_argument("--profile", choices=("r", "tau"), default=None)
     p.add_argument("--profile-grid", default=None, help="comma-separated nuisance grid")
     p.add_argument("--format", choices=("json", "csv"), default="json")

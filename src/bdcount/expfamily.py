@@ -27,12 +27,12 @@ a residual for testing.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedFamilyError
-from .models import InfDefDistribution, InflationSpec, infdef_log_z
+from .models import InfDefDistribution, InflationSpec, MixtureModel, infdef_log_z
 from .stationary import (
     DEFAULT_POLICY,
     BaseDistribution,
@@ -61,7 +61,8 @@ class CanonicalForm:
     kind/r/tau fix the carrier; points/family describe an optional
     perturbation block appended to the statistic.  eta holds the canonical
     coordinates of the model the form was built from; every method accepts an
-    alternative eta inside space.
+    alternative eta inside space.  variant names the mixture variant that
+    model_at maps back to, or None.
     """
 
     kind: str
@@ -72,6 +73,7 @@ class CanonicalForm:
     tau: float | None = None
     points: tuple = ()
     family: str | None = None
+    variant: str | None = None
 
     @property
     def dim(self):
@@ -112,7 +114,8 @@ class CanonicalForm:
             out[:, j] = flat == p if self.family == "type1" else flat <= p
         return out[0] if np.ndim(n) == 0 else out
 
-    def _base_at(self, eta):
+    def base_at(self, eta):
+        """The base law at eta; the carrier shapes are the form's."""
         if self.kind == "geometric":
             return BaseDistribution(kind="geometric", lam=math.exp(eta[0]))
         if self.kind == "poisson":
@@ -126,7 +129,7 @@ class CanonicalForm:
     def model_at(self, eta=None):
         """Rebuild the distribution object whose canonical coordinates are eta."""
         eta = self._check_eta(eta)
-        base = self._base_at(eta)
+        base = self.base_at(eta)
         if not self.points:
             return base
         k = len(_BASE_SPACE[self.kind])
@@ -135,7 +138,8 @@ class CanonicalForm:
             points=self.points,
             factors=tuple(np.exp(eta[k:])),
         )
-        return InfDefDistribution(base, spec, self.policy)
+        dist = InfDefDistribution(base, spec, self.policy)
+        return dist if self.variant is None else MixtureModel.from_type1(dist, self.variant)
 
     def A(self, eta=None):
         """Log-partition A(eta), finite on all of space."""
@@ -147,13 +151,13 @@ class CanonicalForm:
         elif self.kind == "negative_binomial":
             out = -self.r * math.log1p(-math.exp(eta[0]))
         else:
-            out = _log_base_norm(self._base_at(eta), self.policy)
+            out = _log_base_norm(self.base_at(eta), self.policy)
         if self.points:
             k = len(_BASE_SPACE[self.kind])
             spec = InflationSpec(
                 family=self.family, points=self.points, factors=tuple(np.exp(eta[k:]))
             )
-            out += infdef_log_z(self._base_at(eta), spec, self.policy)
+            out += infdef_log_z(self.base_at(eta), spec, self.policy)
         return out
 
     def logpmf(self, n, eta=None):
@@ -163,7 +167,13 @@ class CanonicalForm:
 
 
 def canonicalize(model, policy=None):
-    """Canonical form of a base or perturbed model; Poisson-Lindley is rejected."""
+    """Canonical form of a base, perturbed or mixture model; Poisson-Lindley is rejected.
+
+    A mixture takes the coordinates of its type 1 law (MixtureModel.as_type1),
+    and the form's model_at maps back to its variant (MixtureModel.from_type1).
+    """
+    if isinstance(model, MixtureModel):
+        return replace(canonicalize(model.as_type1(policy or DEFAULT_POLICY)), variant=model.variant)
     if isinstance(model, BaseDistribution):
         base, points, family, pol = model, (), None, policy or DEFAULT_POLICY
         factors = ()

@@ -8,6 +8,11 @@ above by 0), which is globally concave.  Shape parameters held inside the
 carrier h (r of the negative binomial, tau of the hyper-Poisson) are not
 canonical coordinates; profile_fit maximizes over them on a grid refined by
 golden-section search.
+
+Every mixture variant (zero-inflated, multiple-inflation, hurdle, haslett) is
+a reparameterization of a type 1 law, so a mixture template is fitted in the
+type 1 coordinates given by MixtureModel.as_type1 and the estimate is mapped
+back by MixtureModel.from_type1; both fits share one likelihood maximum.
 """
 
 import math
@@ -19,13 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expfamily import canonicalize, cumulants
-from .models import (
-    InfDefDistribution,
-    InflationSpec,
-    MixtureModel,
-    model_logpmf,
-    omega_from_alpha,
-)
+from .models import InfDefDistribution, InflationSpec, model_from_document, model_logpmf
 from .stationary import DEFAULT_POLICY, BaseDistribution, base_pmf, support_floor, support_table
 
 _GRAD_TOL = 1e-8
@@ -120,14 +119,13 @@ def _start_base(kind, mean, r=None, tau=None, nu=None):
     return BaseDistribution(kind=kind, lam=mean, nu=nu)
 
 
-def _start_factors(template, base0, sample, policy):
+def _start_factors(family, points, base0, sample, policy):
     """Factor starts from the empirical masses at the perturbed points.
 
     Empirical cell probabilities get a 0.5/size floor so that unobserved
     points still produce a usable (deflating) start.
     """
-    spec = template.spec
-    pts = np.asarray(spec.points)
+    pts = np.asarray(points)
     n_tot = sample.size
     freq_map = dict(zip(sample.values, sample.freqs))
     p_hat = np.array([max(freq_map.get(int(p), 0.0), 0.5) / n_tot for p in pts])
@@ -136,7 +134,7 @@ def _start_factors(template, base0, sample, policy):
     mass_base = min(float(b_pts.sum()), 0.9)
     alpha = (p_hat / (1.0 - mass_hat)) / (b_pts / (1.0 - mass_base))
     alpha = np.clip(alpha, 1e-6, 1e6)
-    if spec.family == "type1":
+    if family == "type1":
         return tuple(alpha)
     ## Convert point targets f(n_i) = alpha_i into step factors.
     phi = []
@@ -146,14 +144,14 @@ def _start_factors(template, base0, sample, policy):
     return tuple(phi)
 
 
-def _initial_model(template, sample, policy):
-    if isinstance(template, BaseDistribution):
-        return _start_base(template.kind, sample.mean, r=template.r, tau=template.tau, nu=template.nu)
-    base0 = _start_base(
-        template.base.kind, sample.mean, r=template.base.r, tau=template.base.tau, nu=template.base.nu
-    )
-    factors = _start_factors(template, base0, sample, policy)
-    return InfDefDistribution(base0, replace(template.spec, factors=factors), policy)
+def _initial_model(cf, sample, policy):
+    """Starting law with the structure of the canonical form cf."""
+    shape = cf.base_at(cf.eta)
+    base0 = _start_base(shape.kind, sample.mean, r=shape.r, tau=shape.tau, nu=shape.nu)
+    if not cf.points:
+        return base0
+    factors = _start_factors(cf.family, cf.points, base0, sample, policy)
+    return InfDefDistribution(base0, InflationSpec(cf.family, cf.points, factors), policy)
 
 
 def _sample_stat_mean(cf, sample):
@@ -167,31 +165,17 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
 
     template fixes the structure (kind, carrier shapes, perturbation points
     and family); its parameter values are ignored except as defaults.  A
-    MixtureModel template with point masses is fitted through the equivalent
-    type 1 parameterization and mapped back.
+    MixtureModel template of any variant is fitted in the coordinates of its
+    type 1 law (MixtureModel.as_type1), so eta_hat is type 1 canonical, and
+    the fitted law is mapped back to the variant (MixtureModel.from_type1).
     """
     if len(sample.values) < 2:
         raise DomainError(
             "degenerate sample: every observation equals "
             f"{sample.values[0]}; the likelihood is maximized on the parameter-space boundary"
         )
-    if isinstance(template, MixtureModel):
-        if template.variant not in ("zero_inflated", "multiple_inflation"):
-            raise DomainError(f"fitting is not defined for the {template.variant!r} variant")
-        spec_template = InfDefDistribution(
-            template.base,
-            InflationSpec(family="type1", points=template.points, factors=(2.0,) * len(template.points)),
-            policy,
-        )
-        inner = fit_mle(spec_template, sample, policy, max_iter, grad_tol)
-        omegas = omega_from_alpha(inner.model.base, inner.model.spec, policy)
-        mapped = MixtureModel(
-            base=inner.model.base, variant=template.variant, points=template.points, omegas=omegas
-        )
-        return replace(inner, model=mapped)
-
-    model0 = _initial_model(template, sample, policy)
-    cf = canonicalize(model0, policy)
+    cf = canonicalize(template, policy)
+    cf = replace(cf, eta=canonicalize(_initial_model(cf, sample, policy), policy).eta)
     t_bar = _sample_stat_mean(cf, sample)
     bounded = np.array([hi == 0.0 for (_, hi) in cf.space])
 
@@ -281,15 +265,13 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
     )
 
 
-def _with_nuisance(template, name, value):
-    base = template if isinstance(template, BaseDistribution) else template.base
-    fields = {name: value}
+def _with_nuisance(doc, name, value, policy):
+    """The model of document doc with its base's carrier shape name set to value."""
+    base = dict(doc["base"], **{name: value})
     ## keep the placeholder lam admissible when the grid drops r below it
-    if name == "r" and base.lam >= value:
-        fields["lam"] = value / 2.0
-    if isinstance(template, BaseDistribution):
-        return replace(template, **fields)
-    return replace(template, base=replace(template.base, **fields))
+    if name == "r" and base["lambda"] >= value:
+        base["lambda"] = value / 2.0
+    return model_from_document(dict(doc, base=base), policy)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -302,9 +284,9 @@ def profile_fit(template, sample, grid, nuisance=None, policy=DEFAULT_POLICY, xt
     refines around the best grid point by golden-section search to xtol.  A
     single-point grid reduces to fit_mle with the nuisance held fixed.
     """
-    base = template if isinstance(template, BaseDistribution) else template.base
+    doc = template.to_document()
     if nuisance is None:
-        nuisance = {"negative_binomial": "r", "hyper_poisson": "tau"}.get(base.kind)
+        nuisance = {"negative_binomial": "r", "hyper_poisson": "tau"}.get(doc["base"]["kind"])
     if nuisance not in ("r", "tau"):
         raise DomainError(f"nuisance must be 'r' or 'tau', got {nuisance!r}")
     grid = sorted(float(g) for g in grid)
@@ -315,7 +297,7 @@ def profile_fit(template, sample, grid, nuisance=None, policy=DEFAULT_POLICY, xt
 
     def fit_at(val):
         if val not in cache:
-            cache[val] = fit_mle(_with_nuisance(template, nuisance, val), sample, policy)
+            cache[val] = fit_mle(_with_nuisance(doc, nuisance, val, policy), sample, policy)
         return cache[val]
 
     best_idx = int(np.argmax([fit_at(g).loglik for g in grid]))

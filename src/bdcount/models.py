@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SeriesCapError
 from .stationary import (
     DEFAULT_POLICY,
     BaseDistribution,
@@ -40,6 +40,7 @@ from .stationary import (
     base_pmf,
     base_ratio,
     base_ratio_sequence,
+    support_scan,
 )
 
 FAMILIES = ("type1", "type2")
@@ -117,11 +118,39 @@ def weight_f(spec, n):
     return np.exp(log_weight_f(spec, n))
 
 
+## Least base mass off the perturbed levels (or normalizer z, in the closed
+## moments) taken as 1 less the level masses; below it that difference would
+## cancel, and a support scan sums the terms off the levels directly.
+_Z_SUBTRACT = 1e-2
+
+
+def off_levels(log_w, ks):
+    """A support scan's log_w(ns, idx) with the level cells ks set to log 0."""
+
+    def masked(ns, idx):
+        out = log_w(ns, idx)
+        out[:, ks[(ks >= ns[0]) & (ks <= ns[-1])] - ns[0]] = -np.inf
+        return out
+
+    return masked
+
+
 def infdef_log_z(base, spec, policy=DEFAULT_POLICY):
-    """log of z = sum_n f(n) b(n) = 1 + sum_i (f_i - 1) b(level i), a finite correction."""
+    """log of z = sum_n f(n) b(n) = R0 + sum_i f_i S0_i, a finite correction.
+
+    S0_i is the base mass on level i and R0 = 1 - sum_i S0_i the mass off the
+    levels; where R0 < _Z_SUBTRACT, a support scan sums the terms off the levels.
+    """
     ks, owner = level_cells(spec.family, spec.points)
     mass = np.bincount(owner, weights=base_pmf(base, ks, policy), minlength=len(spec.points))
-    z = 1.0 + float((np.exp(log_levels(spec.family, np.log(spec.factors))) - 1.0) @ mass)
+    rest = 1.0 - float(mass.sum())
+    if rest < _Z_SUBTRACT:
+        log_w = off_levels(lambda ns, _: base_logpmf(base, ns, policy)[None, :], ks)
+        top, log_rest, _, _ = support_scan(log_w, 1, policy)
+        if top[0] < 0:
+            raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
+        rest = math.exp(log_rest[0])
+    z = rest + float(np.exp(log_levels(spec.family, np.log(spec.factors))) @ mass)
     if not z > 0.0:
         raise ArithmeticError(f"perturbation normalizer must be positive, got {z}")
     return math.log(z)
@@ -139,20 +168,26 @@ class InfDefDistribution:
     def log_z(self):
         return infdef_log_z(self.base, self.spec, self.policy)
 
-    def logpmf(self, n):
-        out = log_weight_f(self.spec, n) + base_logpmf(self.base, n, self.policy) - self.log_z
-        return out
+    def logpmf(self, n, policy=None):
+        """log PMF at n; policy is unused, the law keeps the one it was built with."""
+        return log_weight_f(self.spec, n) + base_logpmf(self.base, n, self.policy) - self.log_z
 
-    def pmf(self, n):
+    def pmf(self, n, policy=None):
         return np.exp(self.logpmf(n))
 
-    def ratio_sequence(self):
+    def ratio_sequence(self, policy=None):
+        """The modified birth-death ratios; they do not depend on policy."""
         hint = base_ratio_sequence(self.base).limit_hint
         return RatioSequence(
             eval=lambda n: modified_ratio(self, n),
             limit_hint=hint,
             probe_start=max(self.spec.points) + 1,
         )
+
+    def to_document(self):
+        doc = self.base.to_document()
+        doc.update(family=self.spec.family, points=list(self.spec.points), factors=list(self.spec.factors))
+        return doc
 
 
 def modified_ratio(dist, n):
@@ -209,48 +244,88 @@ class MixtureModel:
             if self.points != (0,):
                 raise DomainError("haslett perturbs the zero cell only; points must be (0,)")
 
+    def logpmf(self, n, policy=DEFAULT_POLICY):
+        """log PMF at n (a scalar or integer array); policy sums the base's series normalizer."""
+        ns = as_support(n)
+        log_b = base_logpmf(self.base, ns, policy)
+        if self.variant == "hurdle":
+            log_b0 = base_logpmf(self.base, 0, policy)
+            out = np.where(ns == 0, math.log(self.pi), math.log1p(-self.pi) + log_b - math.log1p(-math.exp(log_b0)))
+        elif self.variant == "haslett":
+            log_norm = math.log1p(math.expm1(self.psi) * base_pmf(self.base, 0, policy))
+            out = np.where(ns == 0, self.psi + log_b, log_b) - log_norm
+        else:
+            pts = np.asarray(self.points)
+            log_cell = _log_cell_masses(self.points, self.omegas, base_logpmf(self.base, pts, policy))
+            idx = np.searchsorted(pts, ns)
+            safe = np.minimum(idx, len(pts) - 1)
+            hit = (idx < len(pts)) & (pts[safe] == ns)
+            out = np.where(hit, log_cell[safe], math.log(1.0 - sum(self.omegas)) + log_b)
+        return float(out) if np.ndim(n) == 0 else out
 
-def _check_pointwise_mass(points, omegas, b_pts):
-    rest = 1.0 - sum(omegas)
-    for i, (w, b) in enumerate(zip(omegas, b_pts)):
-        if not w + rest * b > 0.0:
-            raise DomainError(
-                f"boundary l{i + 2} violated: omega + (1 - sum(omegas)) * b(n_i) must be "
-                f"positive at point {points[i]}, got {w + rest * b}"
-            )
+    def pmf(self, n, policy=DEFAULT_POLICY):
+        return np.exp(self.logpmf(n, policy))
+
+    def as_type1(self, policy=DEFAULT_POLICY):
+        """The type 1 law equal to this mixture, with one factor alpha_i per point.
+
+        Point masses map by alpha_from_omega, the hurdle's zero mass by
+        alpha = pi (1 - b0) / ((1 - pi) b0), and the tilt by alpha = e^psi.
+        """
+        if self.variant == "hurdle":
+            log_b0 = base_logpmf(self.base, 0, policy)
+            alphas = (self.pi * -math.expm1(log_b0) / ((1.0 - self.pi) * math.exp(log_b0)),)
+        elif self.variant == "haslett":
+            alphas = (math.exp(self.psi),)
+        else:
+            alphas = alpha_from_omega(self.base, self.points, self.omegas, policy)
+        return InfDefDistribution(self.base, InflationSpec("type1", self.points, alphas), policy)
+
+    @classmethod
+    def from_type1(cls, dist, variant):
+        """The mixture of the given variant equal to the type 1 law dist (inverse of as_type1).
+
+        Point masses come from omega_from_alpha, the hurdle's pi = alpha b0 / z
+        is the law's mass at 0, and the tilt is psi = log alpha.
+        """
+        if variant == "hurdle":
+            return cls(dist.base, variant, dist.spec.points, pi=float(dist.pmf(0)))
+        if variant == "haslett":
+            return cls(dist.base, variant, dist.spec.points, psi=math.log(dist.spec.factors[0]))
+        return cls(dist.base, variant, dist.spec.points, omega_from_alpha(dist.base, dist.spec, dist.policy))
+
+    def ratio_sequence(self, policy=DEFAULT_POLICY):
+        """The ratios of the equal type 1 law; policy fixes its factors."""
+        return self.as_type1(policy).ratio_sequence()
+
+    def to_document(self):
+        doc = {"family": "mixture", "variant": self.variant, "base": self.base.to_document()["base"]}
+        if self.variant == "hurdle":
+            doc["pi"] = self.pi
+        elif self.variant == "haslett":
+            doc["psi"] = self.psi
+        else:
+            doc.update(points=list(self.points), omegas=list(self.omegas))
+        return doc
 
 
-def mixture_logpmf(mix, n, policy=DEFAULT_POLICY):
-    """log PMF of a mixture model; n may be a scalar or integer array."""
-    ns = as_support(n)
-    log_b = base_logpmf(mix.base, ns, policy)
-    pts = np.asarray(mix.points)
-    if mix.variant in ("zero_inflated", "multiple_inflation"):
-        b_pts = base_pmf(mix.base, pts, policy)
-        _check_pointwise_mass(mix.points, mix.omegas, b_pts)
-        rest = 1.0 - sum(mix.omegas)
-        ## The checked cell masses themselves, so each log sees a positive value.
-        log_cell = np.log(np.asarray(mix.omegas) + rest * b_pts)
-        idx = np.searchsorted(pts, ns)
-        safe = np.minimum(idx, len(pts) - 1)
-        hit = (idx < len(pts)) & (pts[safe] == ns)
-        out = np.where(hit, log_cell[safe], math.log(rest) + log_b)
-    elif mix.variant == "hurdle":
-        log_b0 = base_logpmf(mix.base, 0, policy)
-        out = np.where(
-            ns == 0,
-            math.log(mix.pi),
-            math.log1p(-mix.pi) + log_b - math.log1p(-math.exp(log_b0)),
+def _log_cell_masses(points, omegas, log_b):
+    """log(omega_i + rest b(n_i)) at the points from log b there, rest = 1 - sum(omegas).
+
+    A non-negative omega is added in log space, so a cell whose b underflows
+    keeps its mass; a negative one in linear space, where the check of line
+    l_{i+2} is exact, so the log takes the positive mass the check saw.
+    """
+    w, rest = np.asarray(omegas), 1.0 - sum(omegas)
+    with np.errstate(divide="ignore"):
+        lin = np.log(np.maximum(w + rest * np.exp(log_b), 0.0))
+        out = np.where(w < 0.0, lin, np.logaddexp(np.log(np.maximum(w, 0.0)), math.log(rest) + log_b))
+    for i in np.flatnonzero(np.isneginf(out)):
+        raise DomainError(
+            f"boundary l{i + 2} violated: omega + (1 - sum(omegas)) * b(n_i) must be "
+            f"positive at point {points[i]}, got {w[i] + rest * math.exp(log_b[i])}"
         )
-    else:  # haslett
-        b0 = base_pmf(mix.base, 0, policy)
-        log_norm = math.log1p(math.expm1(mix.psi) * b0)
-        out = np.where(ns == 0, mix.psi + log_b, log_b) - log_norm
-    return float(out) if np.ndim(n) == 0 else out
-
-
-def mixture_pmf(mix, n, policy=DEFAULT_POLICY):
-    return np.exp(mixture_logpmf(mix, n, policy))
+    return out
 
 
 def omega_from_alpha(base, spec, policy=DEFAULT_POLICY):
@@ -264,16 +339,10 @@ def omega_from_alpha(base, spec, policy=DEFAULT_POLICY):
 
 def alpha_from_omega(base, points, omegas, policy=DEFAULT_POLICY):
     """Type 1 factors alpha of the perturbation equal to a point-mass mixture."""
-    pts = _check_points(points)
-    omegas = tuple(float(w) for w in omegas)
-    if len(omegas) != len(pts):
-        raise DomainError(f"omegas and points must have equal length, got {len(omegas)} and {len(pts)}")
-    rest = 1.0 - sum(omegas)
-    if not rest > 0.0:
-        raise DomainError(f"boundary l1 violated: 1 - sum(omegas) must be positive, got {rest}")
-    b_pts = base_pmf(base, np.asarray(pts), policy)
-    _check_pointwise_mass(pts, omegas, b_pts)
-    return tuple((w + rest * b) / (rest * b) for w, b in zip(omegas, b_pts))
+    mix = MixtureModel(base, "multiple_inflation", points, omegas)  # checks points, lengths and l1
+    log_b = base_logpmf(base, np.asarray(mix.points), policy)
+    log_rb = math.log(1.0 - sum(mix.omegas)) + log_b  # as _log_cell_masses forms it, so omega = 0 gives alpha = 1
+    return tuple(np.exp(_log_cell_masses(mix.points, mix.omegas, log_b) - log_rb).tolist())
 
 
 def psi_link(base, points, omegas, policy=DEFAULT_POLICY):
@@ -294,40 +363,26 @@ def omega_from_psi(base, points, psi, policy=DEFAULT_POLICY):
 
 
 def model_logpmf(model, n, policy=DEFAULT_POLICY):
-    """log PMF dispatcher over base, perturbed, and mixture models."""
-    if isinstance(model, BaseDistribution):
-        return base_logpmf(model, n, policy)
-    if isinstance(model, InfDefDistribution):
-        return model.logpmf(n)
-    if isinstance(model, MixtureModel):
-        return mixture_logpmf(model, n, policy)
-    if hasattr(model, "logpmf"):
-        return model.logpmf(n)
-    raise DomainError(f"cannot evaluate log pmf of {type(model).__name__}")
+    """log PMF of any model: model.logpmf(n, policy).
+
+    A BaseDistribution or MixtureModel sums its base's series normalizer under
+    policy; an InfDefDistribution, StationaryPMF or WeightedPMF keeps the
+    policy it was built with and ignores the argument.
+    """
+    return model.logpmf(n, policy)
 
 
 def model_pmf(model, n, policy=DEFAULT_POLICY):
     return np.exp(model_logpmf(model, n, policy))
 
 
-def model_ratio(model, n):
-    """Birth-death ratio dispatcher over base and perturbed models."""
-    if isinstance(model, BaseDistribution):
-        return base_ratio(model, n)
-    if isinstance(model, InfDefDistribution):
-        return modified_ratio(model, n)
-    raise DomainError(f"cannot evaluate ratios of {type(model).__name__}")
+def model_ratio_sequence(model, policy=DEFAULT_POLICY):
+    """Birth-death ratio sequence of any model: model.ratio_sequence(policy)."""
+    return model.ratio_sequence(policy)
 
 
-def model_ratio_sequence(model):
-    if isinstance(model, BaseDistribution):
-        return base_ratio_sequence(model)
-    if isinstance(model, InfDefDistribution):
-        return model.ratio_sequence()
-    raise DomainError(f"cannot build a ratio sequence for {type(model).__name__}")
-
-
-## JSON document field names are fixed by the command-line interface.
+## JSON document field names are fixed by the command-line interface; each
+## model's to_document writes them.
 
 _BASE_PARAM_KEYS = {"lambda": "lam", "r": "r", "tau": "tau", "nu": "nu"}
 
@@ -342,15 +397,6 @@ def base_from_document(doc):
     if "lam" not in kwargs:
         raise DomainError("base document must carry a 'lambda' field")
     return BaseDistribution(kind=doc["kind"], **kwargs)
-
-
-def base_to_document(base):
-    doc = {"kind": base.kind, "lambda": base.lam}
-    for key, attr in _BASE_PARAM_KEYS.items():
-        val = getattr(base, attr)
-        if key != "lambda" and val is not None:
-            doc[key] = val
-    return doc
 
 
 def model_from_document(doc, policy=DEFAULT_POLICY):
@@ -378,12 +424,8 @@ def model_from_document(doc, policy=DEFAULT_POLICY):
     if family == "mixture":
         variant = doc.get("variant")
         if variant in ("zero_inflated", "multiple_inflation"):
-            return MixtureModel(
-                base=base,
-                variant=variant,
-                points=tuple(doc.get("points", (0,))),
-                omegas=tuple(doc.get("omegas", ())),
-            )
+            points, omegas = tuple(doc.get("points", (0,))), tuple(doc.get("omegas", ()))
+            return MixtureModel(base=base, variant=variant, points=points, omegas=omegas)
         if variant == "hurdle":
             return MixtureModel(base=base, variant="hurdle", pi=doc.get("pi"))
         if variant == "haslett":
@@ -391,25 +433,3 @@ def model_from_document(doc, policy=DEFAULT_POLICY):
         raise DomainError(f"unknown mixture variant {variant!r}")
     raise DomainError(f"unknown family {family!r}; expected 'base', 'type1', 'type2', or 'mixture'")
 
-
-def model_to_document(model):
-    if isinstance(model, BaseDistribution):
-        return {"family": "base", "base": base_to_document(model)}
-    if isinstance(model, InfDefDistribution):
-        return {
-            "family": model.spec.family,
-            "base": base_to_document(model.base),
-            "points": list(model.spec.points),
-            "factors": list(model.spec.factors),
-        }
-    if isinstance(model, MixtureModel):
-        doc = {"family": "mixture", "variant": model.variant, "base": base_to_document(model.base)}
-        if model.variant in ("zero_inflated", "multiple_inflation"):
-            doc["points"] = list(model.points)
-            doc["omegas"] = list(model.omegas)
-        elif model.variant == "hurdle":
-            doc["pi"] = model.pi
-        else:
-            doc["psi"] = model.psi
-        return doc
-    raise DomainError(f"cannot serialize {type(model).__name__}")

@@ -32,12 +32,13 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, SeriesCapError
 from .models import (
+    _Z_SUBTRACT,
     InfDefDistribution,
     InflationSpec,
     level_cells,
     log_levels,
     model_logpmf,
-    model_ratio,
+    off_levels,
 )
 from .stationary import (
     DEFAULT_POLICY,
@@ -101,11 +102,6 @@ def moments_direct(model, policy=DEFAULT_POLICY):
     )
 
 
-## Least normalizer z of a perturbed row whose off-level sums are taken as the
-## closed-form totals less the level sums; below it they are summed directly.
-_Z_SUBTRACT = 1e-2
-
-
 def _closed_moments(kind, lams, shape, family, points, log_f, policy):
     """Mean and variance of perturbed laws, rows lams x columns of log_f (m, cols).
 
@@ -143,12 +139,7 @@ def _closed_moments(kind, lams, shape, family, points, log_f, policy):
     ## sums[0] >= 0, so the least f per level bounds every column's z from below.
     idx = np.flatnonzero(rest[0] + sums[0].dot(np.min(f, axis=1, initial=np.inf)) < _Z_SUBTRACT)
     if idx.size:
-
-        def log_w(ns, sub):
-            out = log_kernel(kind, lam[idx[sub]], ns, **shape)
-            out[:, ks[(ks >= ns[0]) & (ks <= ns[-1])] - ns[0]] = -np.inf
-            return out
-
+        log_w = off_levels(lambda ns, sub: log_kernel(kind, lam[idx[sub]], ns, **shape), ks)
         _, log_r, mean_r, var_r = support_scan(log_w, idx.size, policy)
         mass, off = np.exp(log_r - log_norm[idx]), mean_r - center[idx]
         rest[:, idx] = mass, mass * off, mass * (var_r + off * off)
@@ -328,7 +319,7 @@ class SequenceClass:
 def classify_sequence(model, horizon=200, tol=1e-9):
     """Monotonicity of a_n = (n+1) lambda_n and the implied dispersion direction."""
     ns = np.arange(horizon + 1)
-    a = (ns + 1.0) * model_ratio(model, ns)
+    a = (ns + 1.0) * model.ratio_sequence().eval(ns)
     diffs = np.diff(a)
     scale = max(1.0, float(np.max(np.abs(a))))
     has_inc = bool(np.any(diffs > tol * scale))

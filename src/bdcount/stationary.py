@@ -263,7 +263,7 @@ class StationaryPMF:
         while len(pre) <= n:
             pre.append(pre[-1] + math.log(_ratio_at(self.ratio, len(pre) - 1)))
 
-    def logpmf(self, n):
+    def logpmf(self, n, policy=None):
         ns = as_support(n)
         self._extend(int(ns.max()))
         out = np.asarray(self._log_prefix)[ns] - self.log_z
@@ -297,6 +297,24 @@ class BaseDistribution:
             if self.kind == "negative_binomial":
                 raise DomainError(f"negative_binomial requires lam/r < 1, got lam={self.lam}, r={self.r}")
             raise DomainError(f"{self.kind} requires lam < 1, got {self.lam}")
+
+    def logpmf(self, n, policy=DEFAULT_POLICY):
+        """log PMF at n (a scalar or integer array); policy sums the series normalizers."""
+        return base_logpmf(self, n, policy)
+
+    def pmf(self, n, policy=DEFAULT_POLICY):
+        return np.exp(self.logpmf(n, policy))
+
+    def ratio_sequence(self, policy=DEFAULT_POLICY):
+        """The birth-death ratios; they do not depend on policy."""
+        return base_ratio_sequence(self)
+
+    def to_document(self):
+        """The JSON model document that models.model_from_document reads back."""
+        doc = {"kind": self.kind, "lambda": self.lam}
+        if self.kind in SHAPE_PARAM:
+            doc[SHAPE_PARAM[self.kind]] = getattr(self, SHAPE_PARAM[self.kind])
+        return {"family": "base", "base": doc}
 
 
 def check_kind_shape(kind, r=None, tau=None, nu=None):
@@ -559,7 +577,7 @@ class WeightedPMF:
         ratio = RatioSequence(eval=term_ratio, limit_hint=None)
         self.log_norm = log_first + log_ratio_series_sum(ratio, policy)
 
-    def logpmf(self, n):
+    def logpmf(self, n, policy=None):
         ns = as_support(n)
         out = self.weight.log_eval(ns) + base_logpmf(self.base, ns, self.policy) - self.log_norm
         return float(out) if np.ndim(n) == 0 else out

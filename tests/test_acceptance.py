@@ -26,7 +26,6 @@ from bdcount import (
     fit_mle,
     grad_A,
     hess_A,
-    mixture_pmf,
     model_pmf,
     model_ratio_sequence,
     modified_ratio,
@@ -114,7 +113,7 @@ def test_criterion_03_mixture_type1_equivalence():
         t1 = InfDefDistribution(
             base, InflationSpec(family="type1", points=points, factors=alphas)
         )
-        worst_pmf = max(worst_pmf, float(np.max(np.abs(mixture_pmf(mix, ns) - t1.pmf(ns)))))
+        worst_pmf = max(worst_pmf, float(np.max(np.abs(mix.pmf(ns) - t1.pmf(ns)))))
         back = omega_from_alpha(base, t1.spec)
         worst_map = max(worst_map, float(np.max(np.abs(np.asarray(back) - np.asarray(omegas)))))
     ok = worst_pmf < 1e-12 and worst_map < 1e-12
@@ -140,7 +139,7 @@ def test_criterion_04_zero_cell_tilt_coincidence():
         worst = max(
             worst,
             float(np.max(np.abs(p1 - t2.pmf(ns)))),
-            float(np.max(np.abs(p1 - mixture_pmf(tilt, ns)))),
+            float(np.max(np.abs(p1 - tilt.pmf(ns)))),
         )
     ok = worst < 1e-12
     report(4, f"50 zero-cell tilt triples coincide within {worst:.2e}", bool(ok))
@@ -305,7 +304,7 @@ def test_criterion_09_domination_contrast():
         points=(0, 3),
         omegas=(0.3, 0.2),
     )
-    gap = float(np.max(np.abs(mixture_pmf(mix, np.asarray([0, 3])) - np.asarray([0.3, 0.2]))))
+    gap = float(np.max(np.abs(mix.pmf(np.asarray([0, 3])) - np.asarray([0.3, 0.2]))))
     ok = gap < 1e-6
     ## point-mass factors leave no persistent atom: the peak mass keeps falling
     peaks = []

@@ -141,6 +141,24 @@ def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
     assert rc == 3
 
 
+def test_fit_mixture_variant_is_honoured(tmp_path):
+    counts = [0] * 37 + [1] * 20 + [2] * 25 + [3] * 12 + [5] * 6
+    data = tmp_path / "zeros.csv"
+    data.write_text("\n".join(map(str, counts)) + "\n")
+    args = ("fit", "--data", str(data), "--kind", "poisson", "--family", "mixture")
+    hurdle = run_cli(*args, "--points", "0", "--variant", "hurdle")
+    assert hurdle.returncode == 0
+    model = json.loads(hurdle.stdout)["model"]
+    assert model["variant"] == "hurdle"
+    assert abs(model["pi"] - 0.37) < 1e-8
+    ## the default keeps zero_inflated at point 0 and multiple_inflation elsewhere
+    assert json.loads(run_cli(*args, "--points", "0").stdout)["model"]["variant"] == "zero_inflated"
+    assert json.loads(run_cli(*args, "--points", "0,3").stdout)["model"]["variant"] == "multiple_inflation"
+    ## an unknown variant, or one the points cannot carry, is invalid input
+    assert run_cli(*args, "--points", "0", "--variant", "bogus").returncode == 2
+    assert run_cli(*args, "--points", "0,3", "--variant", "haslett").returncode == 2
+
+
 def test_surface_csv_and_nan_nodes(tmp_path):
     proc = run_cli(
         "surface", "--kind", "geometric", "--q", "2",

@@ -185,11 +185,33 @@ def test_mixture_template_fits_through_type1():
     assert np.allclose(fit.model.omegas, omegas, atol=1e-12)
 
 
-def test_hurdle_template_rejected():
-    base = BaseDistribution(kind="poisson", lam=1.5)
-    hurdle = MixtureModel(base=base, variant="hurdle", pi=0.4)
-    with pytest.raises(DomainError, match="hurdle"):
-        fit_mle(hurdle, CountSample.from_counts([0, 1, 2, 2]))
+@pytest.mark.parametrize(
+    "variant, params",
+    [
+        ("zero_inflated", {"omegas": (0.25,)}),
+        ("multiple_inflation", {"points": (0, 3), "omegas": (0.1, 0.15)}),
+        ("hurdle", {"pi": 0.4}),
+        ("haslett", {"psi": 0.8}),
+    ],
+)
+def test_every_mixture_variant_fits_as_its_type1_law(variant, params):
+    base = BaseDistribution(kind="poisson", lam=1.8)
+    true = MixtureModel(base=base, variant=variant, **params)
+    s = CountSample.from_counts(sample_counts(true, 3000, np.random.default_rng(11)))
+    fit = fit_mle(true, s)
+    type1 = fit_mle(InfDefDistribution(base, InflationSpec("type1", true.points, (1.0,) * len(true.points))), s)
+    want = MixtureModel.from_type1(type1.model, variant)
+    assert fit.converged and isinstance(fit.model, MixtureModel) and fit.model.variant == variant
+    assert abs(fit.loglik - type1.loglik) < 1e-10
+    assert np.allclose(fit.eta_hat, type1.eta_hat, rtol=1e-10, atol=0.0)
+    assert fit.model.base.lam == pytest.approx(want.base.lam, rel=1e-10)
+    for name in ("omegas", "pi", "psi"):
+        assert np.allclose(getattr(fit.model, name) or (), getattr(want, name) or (), rtol=1e-10, atol=0.0)
+    zero_share = dict(zip(s.values, s.freqs))[0] / s.size
+    if variant == "hurdle":
+        assert abs(fit.model.pi - zero_share) < 1e-8
+    if variant == "haslett":
+        assert fit.model.psi == pytest.approx(fit.eta_hat[1], rel=1e-12)
 
 
 def test_fit_beats_simplex_oracle():

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bdcount import (
     BaseDistribution,
@@ -12,13 +14,12 @@ from bdcount import (
     InfDefDistribution,
     InflationSpec,
     MixtureModel,
+    SeriesPolicy,
     alpha_from_omega,
     base_pmf,
-    mixture_pmf,
     model_from_document,
     model_logpmf,
     model_pmf,
-    model_to_document,
     modified_ratio,
     omega_from_alpha,
     omega_from_psi,
@@ -111,12 +112,12 @@ def test_zero_cell_tilt_coincidence(psi):
     hs = MixtureModel(base=base, variant="haslett", psi=psi)
     ns = np.arange(60)
     assert np.max(np.abs(t1.pmf(ns) - t2.pmf(ns))) < 1e-14
-    assert np.max(np.abs(t1.pmf(ns) - mixture_pmf(hs, ns))) < 1e-14
+    assert np.max(np.abs(t1.pmf(ns) - hs.pmf(ns))) < 1e-14
 
 
 def test_hurdle_pmf():
     mix = MixtureModel(base=POISSON, variant="hurdle", pi=0.35)
-    p = mixture_pmf(mix, np.arange(40))
+    p = mix.pmf(np.arange(40))
     b = base_pmf(POISSON, np.arange(40))
     assert np.isclose(p[0], 0.35)
     assert np.allclose(p[1:], 0.65 * b[1:] / (1.0 - b[0]), rtol=1e-12)
@@ -127,7 +128,7 @@ def test_zero_inflated_pmf_and_deflation():
     b0 = base_pmf(POISSON, 0)
     for omega in (0.25, -0.05):
         mix = MixtureModel(base=POISSON, variant="zero_inflated", points=(0,), omegas=(omega,))
-        p = mixture_pmf(mix, np.arange(50))
+        p = mix.pmf(np.arange(50))
         assert np.isclose(p[0], omega + (1.0 - omega) * b0)
         assert abs(p.sum() - 1.0) < 1e-10
 
@@ -136,7 +137,7 @@ def test_multiple_inflation_mass():
     mix = MixtureModel(
         base=POISSON, variant="multiple_inflation", points=(0, 3), omegas=(0.1, 0.2)
     )
-    p = mixture_pmf(mix, np.arange(60))
+    p = mix.pmf(np.arange(60))
     assert abs(p.sum() - 1.0) < 1e-10
     b = base_pmf(POISSON, np.arange(60))
     assert np.isclose(p[3], 0.2 + 0.7 * b[3])
@@ -163,7 +164,7 @@ def test_map_roundtrips_random(rng):
         ## the mixture and the perturbation are the same law
         mix = MixtureModel(base=base, variant="multiple_inflation", points=points, omegas=omegas)
         ns = np.arange(80)
-        assert np.max(np.abs(mixture_pmf(mix, ns) - InfDefDistribution(base, spec).pmf(ns))) < 1e-12
+        assert np.max(np.abs(mix.pmf(ns) - InfDefDistribution(base, spec).pmf(ns))) < 1e-12
 
 
 def test_psi_link_roundtrip(rng):
@@ -210,7 +211,7 @@ def test_json_document_roundtrip():
         MixtureModel(base=POISSON, variant="haslett", psi=-0.8),
     ]
     for model in models:
-        doc = model_to_document(model)
+        doc = model.to_document()
         rebuilt = model_from_document(doc)
         ns = np.arange(40)
         assert np.allclose(model_pmf(rebuilt, ns), model_pmf(model, ns), rtol=1e-14)
@@ -244,7 +245,7 @@ def test_strict_open_region_enforced_at_eval():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="l2"):
-            mixture_pmf(mix, np.arange(5))
+            mix.pmf(np.arange(5))
 
 
 def test_tiny_cell_mass_is_not_clamped():
@@ -284,3 +285,88 @@ def test_cell_mass_next_to_l2_is_the_checked_one(base, point):
         alone, in_array = model_logpmf(mix, point), model_logpmf(mix, np.arange(2 * point + 1))[point]
     assert alone == in_array
     assert abs(alone - want) <= 1e-12 * abs(want)
+
+
+def test_normalizer_keeps_digits_when_the_levels_hold_the_mass():
+    ## b(0) = 1 - 1e-13: 1 - b(0) cancels, so z is summed off the levels.
+    base = BaseDistribution(kind="geometric", lam=1e-13)
+    dist = InfDefDistribution(base, InflationSpec(family="type1", points=(0,), factors=(1e-12,)))
+    assert abs(dist.pmf(np.arange(40)).sum() - 1.0) < 1e-12
+
+
+def test_underflowing_cell_mass_is_kept_in_log_space():
+    ## b(0) = e^-800 underflows; the cell mass 0.9 e^-800 is positive all the same.
+    mix = MixtureModel(
+        base=BaseDistribution(kind="poisson", lam=800.0), variant="multiple_inflation", points=(0, 800), omegas=(0.0, 0.1)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = math.log(0.9) - 800.0
+        assert abs(mix.logpmf(0) - want) <= 1e-12 * abs(want)
+        assert np.all(np.isfinite(mix.logpmf(np.array([0, 1, 800]))))
+        factors = mix.as_type1().spec.factors
+    assert all(math.isfinite(a) for a in factors)
+
+
+## The ranges of conftest.random_base.
+_BASES = st.one_of(
+    st.builds(lambda lam: BaseDistribution("geometric", lam=lam), st.floats(0.05, 0.9)),
+    st.builds(lambda lam: BaseDistribution("poisson", lam=lam), st.floats(0.2, 8.0)),
+    st.builds(
+        lambda p, r: BaseDistribution("negative_binomial", lam=p * r, r=r), st.floats(0.05, 0.9), st.floats(0.5, 8.0)
+    ),
+    st.builds(lambda lam, tau: BaseDistribution("hyper_poisson", lam=lam, tau=tau), st.floats(0.2, 8.0), st.floats(0.3, 5.0)),
+    st.builds(lambda lam, nu: BaseDistribution("cmp", lam=lam, nu=nu), st.floats(0.2, 5.0), st.floats(0.6, 2.0)),
+    st.builds(lambda lam: BaseDistribution("poisson_lindley", lam=lam), st.floats(0.05, 0.9)),
+)
+## Shares in (0, 1) that reach within 1e-12 of either end.
+_SHARES = st.one_of(st.floats(1e-6, 1.0 - 1e-6), st.sampled_from([1e-12, 1e-9, 1.0 - 1e-9, 1.0 - 1e-12]))
+
+
+def _point_mass_mixture(base, variant, points, u, shares, policy):
+    """Omegas with rest = 1 - sum(omegas) = u / (1 - B), B the base mass at the points,
+    and cell masses omega_i + rest b_i splitting 1 - u by shares: u near 0 is
+    near l1 and a share near 0 near l_{i+2}, where omega_i is near -rest b_i."""
+    b = base_pmf(base, np.asarray(points), policy)
+    rest = u / (1.0 - b.sum())
+    cells = (1.0 - u) * np.asarray(shares) / sum(shares)
+    return MixtureModel(base=base, variant=variant, points=points, omegas=tuple((cells - rest * b).tolist()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    base=_BASES,
+    variant=st.sampled_from(["zero_inflated", "multiple_inflation", "hurdle", "haslett"]),
+    second=st.integers(1, 5),
+    u=_SHARES,
+    shares=st.lists(_SHARES, min_size=2, max_size=2),
+    pi=_SHARES,
+    psi=st.floats(-30.0, 30.0),
+)
+def test_mixture_type1_roundtrip(base, variant, second, u, shares, pi, psi):
+    ## from_type1(as_type1(m)) == m within 1e-12 for every variant, near the boundaries too.
+    ## The map's condition number is rest = 1 - sum(omegas): an error d in the base's
+    ## unit mass comes back as rest * d in omega, so the series normalizers are summed
+    ## to rounding rather than to the default rel_tol.
+    policy = SeriesPolicy(rel_tol=1e-16)
+    if variant == "hurdle":
+        mix = MixtureModel(base=base, variant=variant, pi=pi)
+    elif variant == "haslett":
+        mix = MixtureModel(base=base, variant=variant, psi=psi)
+    else:
+        points = (0,) if variant == "zero_inflated" else (0, second)
+        try:
+            mix = _point_mass_mixture(base, variant, points, u, shares[: len(points)], policy)
+            mix.logpmf(0, policy)  # the drawn omegas can round onto a boundary line
+        except DomainError:
+            assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = MixtureModel.from_type1(mix.as_type1(policy), variant)
+    assert back.base == mix.base and back.points == mix.points and back.variant == mix.variant
+    if variant == "hurdle":
+        assert abs(back.pi - mix.pi) <= 1e-12 * mix.pi
+    elif variant == "haslett":
+        assert abs(back.psi - mix.psi) <= 1e-12 * max(1.0, abs(mix.psi))
+    else:
+        assert np.all(np.abs(np.asarray(back.omegas) - mix.omegas) <= 1e-12 * np.maximum(1.0, np.abs(mix.omegas)))
