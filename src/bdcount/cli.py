@@ -250,10 +250,14 @@ def cmd_fit(args):
     }
     if result.nuisance is not None:
         doc["nuisance"] = {"name": result.nuisance[0], "value": result.nuisance[1]}
+    if result.boundary is not None:
+        doc["boundary"] = {"name": result.boundary[0], "side": result.boundary[1]}
     if args.format == "csv":
         lines = ["key,value"]
         for key in ("loglik", "aic", "bic", "iterations", "converged"):
             lines.append(f"{key},{doc[key]}")
+        if "boundary" in doc:
+            lines.append(f"boundary,{result.boundary[0]}:{result.boundary[1]}")
         for j, v in enumerate(doc["eta_hat"]):
             lines.append(f"eta_{j},{fmt(v)}")
         if doc["standard_errors"] is not None:

@@ -16,7 +16,9 @@ finite statistic) and is rejected.
 
 A is evaluated from eta alone, so the same CanonicalForm can be re-evaluated
 along an optimizer path.  The gradient and Hessian of A are the mean and
-covariance of T(N), computed together by cumulants from one support table.
+covariance of T(N), computed together by cumulants from one support table;
+its derivative in a carrier shape (r, tau) at fixed eta is the mean of
+d log h(N) / d shape, given by shape_mean.
 
 For any of these laws the stationary construction gives the identity
 
@@ -40,6 +42,7 @@ from .stationary import (
     as_support,
     log_gamma,
     log_ratio_series_sum,
+    log_rising_slope,
     support_floor,
     support_table,
 )
@@ -102,6 +105,14 @@ class CanonicalForm:
 
     def h(self, n):
         return np.exp(self.log_h(n))
+
+    def dlog_h(self, n):
+        """Derivative of log h(n) in the carrier shape: r of a negative binomial, tau of a hyper-Poisson."""
+        if self.kind == "negative_binomial":
+            return log_rising_slope(self.r, n)
+        if self.kind == "hyper_poisson":
+            return -log_rising_slope(self.tau, n)
+        raise DomainError(f"a {self.kind} carrier has no shape parameter")
 
     def T(self, n):
         """Sufficient statistic; shape (d,) for scalar n, (len(n), d) for arrays."""
@@ -207,21 +218,32 @@ def canonicalize(model, policy=None):
     )
 
 
+def _support_weights(cf, eta):
+    """Support table of the weights h(n) exp(T(n).eta), normalized by its own mass."""
+    eta = cf._check_eta(eta)
+    ns, log_w = support_table(lambda ns: cf.log_h(ns) + cf.T(ns) @ eta, cf.policy, support_floor(cf))
+    w = np.exp(log_w - log_w.max())
+    return ns, w / w.sum()
+
+
 def cumulants(cf, eta=None):
     """Mean and covariance of T(N) at eta: the gradient and Hessian of A.
 
     One support table of the weights h(n) exp(T(n).eta), normalized by its own
     mass, so A itself is not evaluated.  The covariance is symmetric PSD.
     """
-    eta = cf._check_eta(eta)
-    ns, log_w = support_table(lambda ns: cf.log_h(ns) + cf.T(ns) @ eta, cf.policy, support_floor(cf))
-    w = np.exp(log_w - log_w.max())
-    w /= w.sum()
+    ns, w = _support_weights(cf, eta)
     t_mat = cf.T(ns)
     mean = w @ t_mat
     dev = t_mat - mean
     cov = (dev * w[:, None]).T @ dev
     return mean, (cov + cov.T) / 2.0
+
+
+def shape_mean(cf, eta=None):
+    """E[d log h(N) / d shape] at eta: the derivative of A in the carrier shape at fixed eta."""
+    ns, w = _support_weights(cf, eta)
+    return float(w @ cf.dlog_h(ns))
 
 
 def grad_A(cf, eta=None):

@@ -6,8 +6,12 @@ observed information per observation is hess A(eta).  fit_mle runs a damped
 Newton ascent on eta (with log reparameterization of the coordinates bounded
 above by 0), which is globally concave.  Shape parameters held inside the
 carrier h (r of the negative binomial, tau of the hyper-Poisson) are not
-canonical coordinates; profile_fit maximizes over them on a grid refined by
-golden-section search.
+canonical coordinates; profile_fit maximizes over them by a safeguarded
+secant on the profile score, which by the envelope theorem is
+sum_i f_i d log h(y_i) - N E[d log h(N)] at the inner optimum, starting from
+a grid and widening past its ends while the score points outward.  A
+maximum that lies past every widening is returned as the best fit searched,
+with FitResult.boundary naming the nuisance and the side.
 
 Every mixture variant (zero-inflated, multiple-inflation, hurdle, haslett) is
 a reparameterization of a type 1 law, so a mixture template is fitted in the
@@ -23,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .expfamily import canonicalize, cumulants
+from .expfamily import canonicalize, cumulants, shape_mean
 from .models import InfDefDistribution, InflationSpec, model_from_document, model_logpmf
 from .stationary import DEFAULT_POLICY, BaseDistribution, base_pmf, support_floor, support_table
 
@@ -103,6 +107,7 @@ class FitResult:
     aic: float
     bic: float
     nuisance: tuple | None = None
+    boundary: tuple | None = None
 
 
 def _start_base(kind, mean, r=None, tau=None, nu=None):
@@ -274,14 +279,66 @@ def _with_nuisance(doc, name, value, policy):
     return model_from_document(dict(doc, base=base), policy)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+## Factor by which the bracket widens past a grid end, and the most widenings.
+_WIDEN = 4.0
+_MAX_WIDEN = 8
+
+
+def _profile_score(result, sample, policy):
+    """Derivative of the profile log-likelihood in the carrier shape at result.
+
+    By the envelope theorem it is the partial derivative at the inner optimum:
+    sum_i f_i d log h(y_i) - N E[d log h(N)], the expectation over the law at
+    eta_hat (type 1 coordinates for a mixture, as canonicalize gives them).
+    """
+    cf = canonicalize(result.model, policy)
+    observed = float(np.asarray(sample.freqs) @ cf.dlog_h(np.asarray(sample.values)))
+    return observed - sample.size * shape_mean(cf, result.eta_hat)
+
+
+def _close_bracket(score, near, far, xtol):
+    """Narrow a sign change of score between near and far to width <= xtol.
+
+    Secant steps on the two latest iterates, taken in 1/s, where the score
+    is nearer linear (an NB variance is mean + mean^2 / r), and kept inside the
+    bracket; a bisection instead when the secant point falls outside it or
+    the latest secant step did not halve |score|.  A step shorter than
+    xtol / 2 is lengthened to xtol / 2, which steps past a root the secant
+    placed that close and so closes the bracket.
+    """
+    a, sa, b, sb = far, score(far), near, score(near)
+    pos, neg = (b, a) if sb > 0.0 else (a, b)
+    secant = False
+    while abs(pos - neg) > xtol:
+        lo, hi = min(pos, neg), max(pos, neg)
+        u = 1.0 / b - sb * (1.0 / b - 1.0 / a) / (sb - sa) if sb != sa else 0.0
+        x = 1.0 / u if u > 0.0 else math.nan
+        if not lo < x < hi or (secant and not abs(sb) <= 0.5 * abs(sa)):
+            x, secant = (lo + hi) / 2.0, False
+        else:
+            secant = True
+        if abs(x - b) < xtol / 2.0:
+            x = b + math.copysign(xtol / 2.0, x - b)
+        if not lo < x < hi:
+            break  # xtol is below the float spacing of the bracket
+        a, sa, b, sb = b, sb, x, score(x)
+        if sb > 0.0:
+            pos = x
+        else:
+            neg = x
 
 
 def profile_fit(template, sample, grid, nuisance=None, policy=DEFAULT_POLICY, xtol=1e-4):
     """Maximize the likelihood over a carrier shape parameter (r or tau).
 
     Fits the canonical coordinates at every grid value of the nuisance, then
-    refines around the best grid point by golden-section search to xtol.  A
+    finds the zero of the profile score next to the best grid point: the
+    bracket between it and its uphill neighbour is closed to width xtol by
+    safeguarded secant steps.  When the score at an end of the grid points
+    outward, the bracket widens past that end by factors of _WIDEN, at most
+    _MAX_WIDEN times; if the score still points outward, the best fit
+    searched is returned with boundary = (nuisance, "lower" or "upper").
+    Otherwise the best fit searched lies within xtol of the maximum.  A
     single-point grid reduces to fit_mle with the nuisance held fixed.
     """
     doc = template.to_document()
@@ -293,37 +350,43 @@ def profile_fit(template, sample, grid, nuisance=None, policy=DEFAULT_POLICY, xt
     if not grid or any(not (math.isfinite(g) and g > 0.0) for g in grid):
         raise DomainError(f"grid must hold positive finite reals, got {grid}")
 
-    cache = {}
+    fits, scores = {}, {}
 
     def fit_at(val):
-        if val not in cache:
-            cache[val] = fit_mle(_with_nuisance(doc, nuisance, val, policy), sample, policy)
-        return cache[val]
+        if val not in fits:
+            fits[val] = fit_mle(_with_nuisance(doc, nuisance, val, policy), sample, policy)
+        return fits[val]
 
-    best_idx = int(np.argmax([fit_at(g).loglik for g in grid]))
-    if len(grid) == 1:
-        best_val = grid[0]
-    else:
-        lo = grid[max(best_idx - 1, 0)]
-        hi = grid[min(best_idx + 1, len(grid) - 1)]
-        a, b = lo, hi
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        while b - a > xtol:
-            if fit_at(c).loglik >= fit_at(d).loglik:
-                b, d = d, c
-                c = b - _GOLDEN * (b - a)
+    def score(val):
+        if val not in scores:
+            scores[val] = _profile_score(fit_at(val), sample, policy)
+        return scores[val]
+
+    best = max(grid, key=lambda g: fit_at(g).loglik)
+    boundary = None
+    if len(grid) > 1:
+        up = score(best) > 0.0
+        i = grid.index(best) + (1 if up else -1)
+        near = far = best
+        if 0 <= i < len(grid):
+            far = grid[i]
+        else:
+            for _ in range(_MAX_WIDEN):
+                near, far = far, far * _WIDEN if up else far / _WIDEN
+                if (score(far) > 0.0) != up:
+                    break
             else:
-                a, c = c, d
-                d = a + _GOLDEN * (b - a)
-        candidates = [grid[best_idx], (a + b) / 2.0]
-        best_val = max(candidates, key=lambda v: fit_at(v).loglik)
-    result = fit_at(best_val)
+                boundary = (nuisance, "upper" if up else "lower")
+        if boundary is None:
+            _close_bracket(score, near, far, xtol)
+    best_val = max(fits, key=lambda v: fits[v].loglik)
+    result = fits[best_val]
     k = len(result.eta_hat) + 1
     n_tot = sample.size
     return replace(
         result,
         nuisance=(nuisance, best_val),
+        boundary=boundary,
         aic=2.0 * k - 2.0 * result.loglik,
         bic=k * math.log(n_tot) - 2.0 * result.loglik,
     )

@@ -271,10 +271,15 @@ class MixtureModel:
 
         Point masses map by alpha_from_omega, the hurdle's zero mass by
         alpha = pi (1 - b0) / ((1 - pi) b0), and the tilt by alpha = e^psi.
+        A hurdle whose alpha is no finite float (b0 underflows) raises DomainError.
         """
         if self.variant == "hurdle":
             log_b0 = base_logpmf(self.base, 0, policy)
-            alphas = (self.pi * -math.expm1(log_b0) / ((1.0 - self.pi) * math.exp(log_b0)),)
+            den = (1.0 - self.pi) * math.exp(log_b0)
+            alpha = self.pi * -math.expm1(log_b0) / den if den > 0.0 else math.inf
+            if not math.isfinite(alpha):
+                raise DomainError(f"hurdle pi={self.pi} with log b(0)={log_b0:.6g} has no finite type 1 factor")
+            alphas = (alpha,)
         elif self.variant == "haslett":
             alphas = (math.exp(self.psi),)
         else:

@@ -443,6 +443,24 @@ def log_gamma(x, ns):
         return slot[0][idx]
 
 
+def log_rising_slope(x, ns):
+    """d/dx [lgamma(x + n) - lgamma(x)] = sum_{k<n} 1/(x + k), for real x > 0 and integers n >= 0.
+
+    A running sum over the lattice of log_gamma, so no digamma is needed.  It
+    holds at most _LGAMMA_TABLE_MAX terms; past them the sum continues by
+    Euler-Maclaurin, whose first omitted term is below 1e-20 there.
+    """
+    idx = np.asarray(ns).astype(np.intp, copy=False)
+    top = min(int(idx.max(initial=0)), _LGAMMA_TABLE_MAX)
+    run = np.concatenate(([0.0], np.cumsum(1.0 / (x + np.arange(top)))))
+    out = run[np.minimum(idx, top)]
+    far = idx > top
+    if far.any():
+        a, b = x + top, x + idx[far]
+        out[far] += np.log(b / a) + (1.0 / a - 1.0 / b) / 2.0 + (1.0 / a**2 - 1.0 / b**2) / 12.0
+    return out
+
+
 def log_kernel(kind, lam, ns, r=None, tau=None, nu=None):
     """log b(n) of a base family, less the series normalizer of SERIES_KINDS.
 

@@ -268,6 +268,37 @@ def test_simulate_mixture_spec(tmp_path):
     assert doc["tv_distance"] < 0.1
 
 
+def test_simulate_hurdle_without_type1_law_exits_2(tmp_path):
+    spec = write_spec(tmp_path, {
+        "family": "mixture", "variant": "hurdle",
+        "base": {"kind": "poisson", "lambda": 800}, "pi": 0.5,
+    })
+    proc = run_cli("simulate", "--spec", spec, "--seed", "1", "--sample-time", "10")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_fit_profile_boundary_key(tmp_path):
+    ## Underdispersed counts put the NB maximum at r -> inf, past any grid.
+    data = tmp_path / "c.csv"
+    data.write_text("\n".join(str(int(c)) for c in np.random.default_rng(50).poisson(2.0, 300)) + "\n")
+    args = ("fit", "--data", str(data), "--kind", "negative_binomial", "--profile", "r")
+    edge = run_cli(*args, "--profile-grid", "1.0,4.0,16.0")
+    assert edge.returncode == 0
+    doc = json.loads(edge.stdout)
+    assert doc["boundary"] == {"name": "r", "side": "upper"}
+    assert doc["nuisance"]["value"] > 16.0
+    csv = run_cli(*args, "--profile-grid", "1.0,4.0,16.0", "--format", "csv")
+    assert csv.returncode == 0 and "boundary,r:upper" in csv.stdout.split("\n")
+    ## Overdispersed counts: an interior maximum writes no boundary key.
+    rng = np.random.default_rng(3)
+    data.write_text("\n".join(str(int(c)) for c in rng.poisson(rng.gamma(4.0, 0.5, 300))) + "\n")
+    inner = run_cli(*args, "--profile-grid", "1.0,4.0,16.0")
+    assert inner.returncode == 0 and "boundary" not in json.loads(inner.stdout)
+    csv = run_cli(*args, "--profile-grid", "1.0,4.0,16.0", "--format", "csv")
+    assert csv.returncode == 0 and "boundary" not in csv.stdout
+
+
 def test_exit_code_2_cases(tmp_path):
     missing = run_cli("pmf", "--spec", str(tmp_path / "nope.json"))
     assert missing.returncode == 2 and "error:" in missing.stderr

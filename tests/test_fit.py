@@ -24,6 +24,9 @@ from bdcount import (
     profile_fit,
     sample_counts,
 )
+from bdcount import fit as fit_module
+from bdcount.fit import _profile_score, _with_nuisance
+from bdcount.stationary import DEFAULT_POLICY
 
 
 def test_count_sample_validation():
@@ -276,6 +279,79 @@ def test_profile_limit_reaches_poisson():
     assert prof.loglik >= poisson.loglik - 1e-3
 
 
+def _profile_ll(template, name, value, sample):
+    return fit_mle(_with_nuisance(template.to_document(), name, value, DEFAULT_POLICY), sample).loglik
+
+
+@pytest.mark.parametrize(
+    "template, name",
+    [
+        (BaseDistribution(kind="negative_binomial", lam=1.0, r=2.0), "r"),
+        (BaseDistribution(kind="hyper_poisson", lam=1.0, tau=2.0), "tau"),
+        (
+            InfDefDistribution(
+                BaseDistribution(kind="hyper_poisson", lam=1.0, tau=2.0), InflationSpec("type1", (0,), (1.0,))
+            ),
+            "tau",
+        ),
+    ],
+)
+def test_profile_score_matches_central_differences(template, name):
+    rng = np.random.default_rng(11)
+    s = CountSample.from_counts(rng.poisson(rng.gamma(3.0, 1.0, 5000)))
+    value, h = 1.5, 1e-4
+    fit = fit_mle(_with_nuisance(template.to_document(), name, value, DEFAULT_POLICY), s)
+    score = _profile_score(fit, s, DEFAULT_POLICY)
+    central = (_profile_ll(template, name, value + h, s) - _profile_ll(template, name, value - h, s)) / (2.0 * h)
+    assert abs(score) > 100.0
+    assert abs(score - central) <= 1e-6 * abs(score)
+
+
+def test_profile_finds_a_maximum_past_the_grid():
+    ## Overdispersed counts whose hyper-Poisson maximum lies well above the grid's top.
+    rng = np.random.default_rng(3)
+    s = CountSample.from_counts(rng.poisson(rng.gamma(4.0, 0.8, 20_000)))
+    prof = profile_fit(BaseDistribution(kind="hyper_poisson", lam=1.0, tau=1.0), s, grid=(0.5, 1.0, 2.0))
+    name, tau = prof.nuisance
+    assert name == "tau" and prof.boundary is None
+    assert abs(tau - 5.7066) < 1e-3
+    assert abs(prof.loglik + 43721.22) < 0.01
+    assert abs(_profile_score(prof, s, DEFAULT_POLICY)) < 1.0
+
+
+def test_profile_needs_few_inner_fits(monkeypatch):
+    true = BaseDistribution(kind="hyper_poisson", lam=3.0, tau=1.7)
+    s = CountSample.from_counts(sample_counts(true, 20_000, np.random.default_rng(5)))
+    calls = []
+    inner = fit_module.fit_mle
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fit_module, "fit_mle", counted)
+    prof = profile_fit(BaseDistribution(kind="hyper_poisson", lam=1.0, tau=1.0), s, grid=(0.8, 1.6, 3.2))
+    assert prof.boundary is None and 1.6 < prof.nuisance[1] < 3.2
+    assert len(calls) <= 12
+
+
+def test_profile_reports_the_grid_edge():
+    ## Underdispersed counts: the NB likelihood rises towards its Poisson limit r -> inf.
+    s = CountSample.from_counts(np.random.default_rng(50).poisson(2.0, 300))
+    template = BaseDistribution(kind="negative_binomial", lam=0.5, r=2.0)
+    upper = profile_fit(template, s, grid=(1.0, 4.0, 16.0))
+    assert upper.boundary == ("r", "upper")
+    assert upper.nuisance[1] > 16.0
+    assert upper.loglik > profile_fit(template, s, grid=(16.0,)).loglik
+    ## Counts of 1 + Poisson: the hyper-Poisson likelihood rises towards tau -> 0.
+    s = CountSample.from_counts(1 + np.random.default_rng(4).poisson(2.0, 2000))
+    lower = profile_fit(BaseDistribution(kind="hyper_poisson", lam=1.0, tau=1.0), s, grid=(0.5, 1.0, 2.0))
+    assert lower.boundary == ("tau", "lower")
+    assert lower.nuisance[1] < 0.5 and lower.converged
+    ## A single-point grid searches nothing past itself.
+    assert profile_fit(template, s, grid=(2.0,)).boundary is None
+
+
 def test_profile_validation():
     s = CountSample.from_counts([0, 1, 1, 2, 4])
     template = BaseDistribution(kind="negative_binomial", lam=1.0, r=2.0)
@@ -285,6 +361,9 @@ def test_profile_validation():
         profile_fit(template, s, grid=(1.0, -2.0))
     with pytest.raises(DomainError):
         profile_fit(template, s, grid=(1.0,), nuisance="lam")
+    ## An xtol below the float spacing stops where the bracket can shrink no more.
+    tight = profile_fit(template, s, grid=(0.5, 1.0, 2.0), xtol=0.0)
+    assert abs(_profile_score(tight, s, DEFAULT_POLICY)) < 1e-6
     single = profile_fit(template, s, grid=(2.5,))
     assert single.nuisance == ("r", 2.5)
     assert single.model.r == 2.5

@@ -124,6 +124,19 @@ def test_hurdle_pmf():
     assert abs(p.sum() - 1.0) < 1e-10
 
 
+def test_hurdle_without_a_finite_type1_factor_is_a_domain_error():
+    ## b(0) = e^-800 underflows, so alpha = pi (1 - b0) / ((1 - pi) b0) is no float.
+    far = MixtureModel(base=BaseDistribution(kind="poisson", lam=800.0), variant="hurdle", pi=0.5)
+    with pytest.raises(DomainError, match="hurdle"):
+        far.as_type1()
+    with pytest.raises(DomainError):
+        far.ratio_sequence()
+    ## b(0) = e^-700 is a float, but alpha = e^700 / 1e-300 is not.
+    tiny = MixtureModel(base=BaseDistribution(kind="poisson", lam=700.0), variant="hurdle", pi=1.0 - 1e-16)
+    with pytest.raises(DomainError):
+        tiny.as_type1()
+
+
 def test_zero_inflated_pmf_and_deflation():
     b0 = base_pmf(POISSON, 0)
     for omega in (0.25, -0.05):

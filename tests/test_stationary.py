@@ -28,6 +28,7 @@ from bdcount.stationary import (
     SUPPORT_BLOCK,
     _lgamma_slot,
     log_gamma,
+    log_rising_slope,
     support_table,
 )
 
@@ -325,3 +326,17 @@ def test_log_gamma_values_do_not_depend_on_the_cache():
     _lgamma_slot.cache_clear()
     fresh = [log_gamma(2.5, ns) for ns in reversed(requests)][::-1]
     assert all(np.array_equal(a, b) and np.array_equal(a, c) for a, b, c in zip(cold, warm, fresh))
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.3, 1.0, 2.2, 100.0, 1e6])
+def test_log_rising_slope_matches_digamma(x):
+    digamma = pytest.importorskip("scipy.special").digamma
+    ## Near n against an exact sum; far n, past the table, against digamma(x + n) - digamma(x).
+    near = np.arange(300)
+    exact = [math.fsum(1.0 / (x + k) for k in range(n)) for n in near.tolist()]
+    far = np.array([_LGAMMA_TABLE_MAX - 1, _LGAMMA_TABLE_MAX, _LGAMMA_TABLE_MAX + 1, 10**7, 10**12])
+    got = log_rising_slope(x, np.append(near, far))
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:300] - exact[1:]) / exact[1:]) <= 1e-14
+    ref = digamma(x + far) - digamma(x)
+    assert np.max(np.abs(got[300:] - ref) / ref) <= 1e-12
