@@ -15,10 +15,14 @@ form (its log PMF has a log(1 + lam + n lam) term that is not linear in any
 finite statistic) and is rejected.
 
 A is evaluated from eta alone, so the same CanonicalForm can be re-evaluated
-along an optimizer path.  The gradient and Hessian of A are the mean and
-covariance of T(N), computed together by cumulants from one support table;
-its derivative in a carrier shape (r, tau) at fixed eta is the mean of
-d log h(N) / d shape, given by shape_mean.
+along an optimizer path.  support_pass makes one support table of the
+weights h(n) exp(T(n).eta) and reads from it A (the table's log mass) with its
+gradient and Hessian (the mean and covariance of T(N)), so all three come from
+one truncation; cumulants, grad_A and hess_A read the pass, and so does
+shape_mean, the derivative of A in a carrier shape (r, tau) at fixed eta, the
+mean of d log h(N) / d shape.  Passes are memoized per eta, so a derivative read
+at a fitted eta costs no second pass.  CanonicalForm.A sums the closed form or
+the ratio series instead, and agrees with the pass to series tolerance.
 
 For any of these laws the stationary construction gives the identity
 
@@ -28,8 +32,10 @@ which ties the log-partition to the birth-death normalizer and is exposed as
 a residual for testing.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +61,11 @@ _BASE_SPACE = {
     "hyper_poisson": ((-math.inf, math.inf),),
     "cmp": ((-math.inf, math.inf), (-math.inf, 0.0)),
 }
+
+
+def _space(kind, points):
+    """Open box of eta: the base coordinates, then one free coordinate per perturbed point."""
+    return _BASE_SPACE[kind] + ((-math.inf, math.inf),) * len(points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +216,10 @@ def canonicalize(model, policy=None):
     if base.kind == "cmp":
         eta_base.append(-base.nu)
     eta = np.array(eta_base + [math.log(a) for a in factors])
-    space = _BASE_SPACE[base.kind] + ((-math.inf, math.inf),) * len(points)
     return CanonicalForm(
         kind=base.kind,
         eta=eta,
-        space=space,
+        space=_space(base.kind, points),
         policy=pol,
         r=base.r,
         tau=base.tau,
@@ -218,32 +228,70 @@ def canonicalize(model, policy=None):
     )
 
 
-def _support_weights(cf, eta):
-    """Support table of the weights h(n) exp(T(n).eta), normalized by its own mass."""
+class SupportPass(NamedTuple):
+    """One support table of the weights h(n) exp(T(n).eta), n = 0 .. len(weights) - 1.
+
+    log_mass is A(eta) up to the table's truncation; mean and cov are the
+    mean and covariance of T(N), the gradient and Hessian of that same
+    log_mass; weights are the table normalized by its mass.  The arrays are
+    read-only, as a pass may be shared through the memo.
+    """
+
+    log_mass: float
+    mean: np.ndarray
+    cov: np.ndarray
+    weights: np.ndarray
+
+
+## Passes kept by the memo: a profile fit reads the last pass of one of its
+## latest few inner fits (the best of a grid fitted before its neighbours).
+_PASS_MEMO_SIZE = 32
+
+
+def support_pass(cf, eta=None):
+    """The SupportPass of cf at eta, the one sum over the support behind A and its derivatives.
+
+    Passes are memoized on the carrier, the perturbation structure, the
+    policy and the bytes of eta, so a derivative read at a fitted eta reuses
+    the fitter's last pass.  Raises SeriesCapError when the table does not
+    settle within policy.max_terms.
+    """
     eta = cf._check_eta(eta)
-    ns, log_w = support_table(lambda ns: cf.log_h(ns) + cf.T(ns) @ eta, cf.policy, support_floor(cf))
-    w = np.exp(log_w - log_w.max())
-    return ns, w / w.sum()
+    return _memo_pass(cf.kind, cf.r, cf.tau, cf.points, cf.family, cf.policy, eta.tobytes())
+
+
+@functools.lru_cache(maxsize=_PASS_MEMO_SIZE)
+def _memo_pass(kind, r, tau, points, family, policy, eta_bytes):
+    """support_pass on the hashable fields of a canonical form."""
+    cf = CanonicalForm(kind, np.frombuffer(eta_bytes), _space(kind, points), policy, r, tau, points, family)
+    ns, log_w = support_table(lambda ns: cf.log_h(ns) + cf.T(ns) @ cf.eta, policy, support_floor(cf))
+    top = log_w.max()
+    w = np.exp(log_w - top)
+    mass = w.sum()
+    w /= mass
+    t_mat = cf.T(ns)
+    mean = w @ t_mat
+    dev = t_mat - mean
+    cov = (dev * w[:, None]).T @ dev
+    cov = (cov + cov.T) / 2.0
+    for a in (mean, cov, w):
+        a.flags.writeable = False
+    return SupportPass(float(top + math.log(mass)), mean, cov, w)
 
 
 def cumulants(cf, eta=None):
     """Mean and covariance of T(N) at eta: the gradient and Hessian of A.
 
-    One support table of the weights h(n) exp(T(n).eta), normalized by its own
-    mass, so A itself is not evaluated.  The covariance is symmetric PSD.
+    Read from support_pass; the covariance is symmetric PSD.
     """
-    ns, w = _support_weights(cf, eta)
-    t_mat = cf.T(ns)
-    mean = w @ t_mat
-    dev = t_mat - mean
-    cov = (dev * w[:, None]).T @ dev
-    return mean, (cov + cov.T) / 2.0
+    res = support_pass(cf, eta)
+    return res.mean, res.cov
 
 
 def shape_mean(cf, eta=None):
     """E[d log h(N) / d shape] at eta: the derivative of A in the carrier shape at fixed eta."""
-    ns, w = _support_weights(cf, eta)
-    return float(w @ cf.dlog_h(ns))
+    w = support_pass(cf, eta).weights
+    return float(w @ cf.dlog_h(np.arange(len(w))))
 
 
 def grad_A(cf, eta=None):

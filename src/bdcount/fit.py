@@ -4,14 +4,20 @@ For an exponential-family model the average log-likelihood is
 T_bar . eta - A(eta) + const, so the score is T_bar - grad A(eta) and the
 observed information per observation is hess A(eta).  fit_mle runs a damped
 Newton ascent on eta (with log reparameterization of the coordinates bounded
-above by 0), which is globally concave.  Shape parameters held inside the
-carrier h (r of the negative binomial, tau of the hyper-Poisson) are not
-canonical coordinates; profile_fit maximizes over them by a safeguarded
-secant on the profile score, which by the envelope theorem is
-sum_i f_i d log h(y_i) - N E[d log h(N)] at the inner optimum, starting from
-a grid and widening past its ends while the score points outward.  A
-maximum that lies past every widening is returned as the best fit searched,
-with FitResult.boundary naming the nuisance and the side.
+above by 0), which is globally concave.  Each point it evaluates, line-search
+trials included, costs one expfamily.support_pass, which gives A, grad A and
+hess A from one table; so the value in the Armijo test is the function whose
+derivatives set the step, and full steps near the optimum pass it.  An
+accepted trial's pass scores the next iterate.
+
+Shape parameters held inside the carrier h (r of the negative binomial, tau
+of the hyper-Poisson) are not canonical coordinates; profile_fit maximizes
+over them by a safeguarded secant on the profile score, which by the envelope
+theorem is sum_i f_i d log h(y_i) - N E[d log h(N)] at the inner optimum (the
+expectation read from the inner fit's last pass), starting from a grid and
+widening past its ends while the score points outward.  A maximum that lies
+past every widening is returned as the best fit searched, with
+FitResult.boundary naming the nuisance and the side.
 
 Every mixture variant (zero-inflated, multiple-inflation, hurdle, haslett) is
 a reparameterization of a type 1 law, so a mixture template is fitted in the
@@ -26,8 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
-from .expfamily import canonicalize, cumulants, shape_mean
+from .errors import DomainError, SeriesCapError
+from .expfamily import canonicalize, shape_mean, support_pass
 from .models import InfDefDistribution, InflationSpec, model_from_document, model_logpmf
 from .stationary import DEFAULT_POLICY, BaseDistribution, base_pmf, support_floor, support_table
 
@@ -190,23 +196,20 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
     def to_x(eta):
         return np.where(bounded, np.log(-np.minimum(eta, -1e-300)), eta)
 
-    def avg_loglik(x):
+    def evaluate(x):
+        """Average log-likelihood at x and the support pass that gives it."""
         eta = to_eta(x)
-        try:
-            return float(t_bar @ eta - cf.A(eta))
-        except (DomainError, ArithmeticError):
-            ## a trial point outside the domain, or one whose normalizer
-            ## cannot be evaluated (overflow, z <= 0, series errors), halves the step
-            return -math.inf
+        res = support_pass(cf, eta)
+        return float(t_bar @ eta - res.log_mass), res
 
     x = to_x(cf.eta)
     converged = False
     iterations = 0
-    ## One support pass per point of the path gives score and information.
-    mean_t, h_eta = cumulants(cf, to_eta(x))
-    g_eta = t_bar - mean_t
+    ## One support pass per evaluated point gives the value, score and information.
+    val, res = evaluate(x)
     for iterations in range(1, max_iter + 1):
         eta = to_eta(x)
+        g_eta = t_bar - res.mean
         if float(np.max(np.abs(g_eta))) < grad_tol:
             converged = True
             iterations -= 1
@@ -214,34 +217,38 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
         jac = np.where(bounded, eta, 1.0)
         g_x = g_eta * jac
         ## Hessian of the avg log-likelihood in x (chain rule through eta = -e^x).
-        h_x = -(jac[:, None] * h_eta * jac[None, :]) + np.diag(np.where(bounded, g_eta * eta, 0.0))
+        h_x = -(jac[:, None] * res.cov * jac[None, :]) + np.diag(np.where(bounded, g_eta * eta, 0.0))
         try:
             direction = np.linalg.solve(h_x, -g_x)
         except np.linalg.LinAlgError:
             direction = g_x
         if float(direction @ g_x) <= 0.0:
             direction = g_x
-        base_val = avg_loglik(x)
         slope = float(g_x @ direction)
         step = 1.0
-        ## Compare up to the rounding of avg_loglik: near the optimum the
-        ## predicted gain falls below it, and an exact test would halve the
-        ## step to nothing while the values tie.
-        tol = 8.0 * _EPS * max(1.0, abs(base_val))
+        ## Compare up to the rounding of the average log-likelihood: near the
+        ## optimum the predicted gain falls below it, and an exact test would
+        ## halve the step to nothing while the values tie.
+        tol = 8.0 * _EPS * max(1.0, abs(val))
         while step > 1e-14:
-            if avg_loglik(x + step * direction) >= base_val + _ARMIJO * step * slope - tol:
+            x_new = x + step * direction
+            try:
+                val_new, res_new = evaluate(x_new)
+            except (DomainError, SeriesCapError):
+                ## a trial point outside the domain, or one whose table does
+                ## not settle, halves the step
+                val_new = -math.inf
+            if val_new >= val + _ARMIJO * step * slope - tol:
                 break
             step *= 0.5
         else:
             break
-        x_new = x + step * direction
         if np.array_equal(x_new, x):
             break
-        x = x_new
-        mean_t, h_eta = cumulants(cf, to_eta(x))
-        g_eta = t_bar - mean_t
+        x, val, res = x_new, val_new, res_new
     else:
         iterations = max_iter
+    g_eta = t_bar - res.mean
     if not converged and float(np.max(np.abs(g_eta))) < grad_tol:
         converged = True
 
@@ -250,7 +257,7 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
     ll = loglik(fitted, sample, policy)
     n_tot = sample.size
     k = cf.dim
-    info = n_tot * h_eta
+    info = n_tot * res.cov
     se = None
     se_unstable = True
     cond = np.linalg.cond(info)

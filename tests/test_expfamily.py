@@ -20,6 +20,7 @@ from bdcount import (
     model_logpmf,
     model_ratio_sequence,
 )
+from bdcount.expfamily import support_pass
 from conftest import random_base, random_spec
 
 EF_BASES = [
@@ -180,6 +181,24 @@ def test_grad_hess_vs_finite_differences(rng, base):
             assert np.max(np.abs(h - h.T)) == 0.0
             assert np.min(np.linalg.eigvalsh(h)) > -1e-10
             assert np.max(np.abs(h - _fd_hess(cf, eta))) < 1e-4
+
+
+## A heavy negative binomial (lam/r = 0.98) joins the five kinds.
+@pytest.mark.parametrize("base", EF_BASES + [BaseDistribution(kind="negative_binomial", lam=0.686, r=0.7)])
+@pytest.mark.parametrize("family", [None, "type1", "type2"])
+def test_support_pass_log_mass_is_A_and_its_mean_the_gradient(base, family):
+    ## The fitter's line search reads A from the same table as the score, so
+    ## a full Newton step near the optimum passes the Armijo test.
+    cf = canonicalize(base if family is None else _perturbed(base, family))
+    res = support_pass(cf)
+    assert abs(res.log_mass - cf.A()) < 1e-9
+    h = 1e-5
+    for j in range(cf.dim):
+        e = np.zeros(cf.dim)
+        e[j] = h
+        central = (support_pass(cf, cf.eta + e).log_mass - support_pass(cf, cf.eta - e).log_mass) / (2.0 * h)
+        assert abs(central - res.mean[j]) <= 1e-6 * max(1.0, abs(res.mean[j]))
+    assert not (res.mean.flags.writeable or res.cov.flags.writeable or res.weights.flags.writeable)
 
 
 def test_grad_first_coordinate_is_mean():

@@ -1,6 +1,7 @@
 """Newton MLE, profile likelihood, and the sampling helper."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -407,9 +408,9 @@ def test_null_line_search_does_not_stall():
 
 
 def test_line_search_halves_step_past_zero_normalizer():
-    ## A trial Newton step here drives the type 1 normalizer
-    ## z = 1 + sum (f - 1) b to 0.0 in floating point; that trial point must
-    ## count as -inf and the step be halved, not end the fit with an error.
+    ## A trial Newton step here drove the series type 1 normalizer
+    ## z = 1 + sum (f - 1) b to 0.0 in floating point when the line search
+    ## read A from it; the fit must converge, not end with an error.
     s = CountSample.from_frequencies({0: 5716, 1: 2444, 2: 1474, 3: 1730, 4: 221, 5: 58, 6: 19, 7: 2, 8: 1, 9: 1})
     template = InfDefDistribution(
         BaseDistribution(kind="cmp", lam=1.0, nu=1.0), InflationSpec(family="type1", points=(0, 3), factors=(1.0, 1.0))
@@ -419,6 +420,22 @@ def test_line_search_halves_step_past_zero_normalizer():
     ## the fitted type 1 model reproduces the observed perturbed cells
     fitted = np.exp(model_logpmf(fit.model, np.array([0, 3])))
     assert np.allclose(fitted, np.array([5716, 1730]) / s.size, rtol=1e-6)
+
+
+def test_line_search_halves_step_past_an_unsettled_table(monkeypatch):
+    ## A trial point whose support table does not settle counts as -inf.
+    real, calls = fit_module.support_pass, []
+
+    def capped(cf, eta=None):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SeriesCapError("support scan did not settle")
+        return real(cf, eta)
+
+    monkeypatch.setattr(fit_module, "support_pass", capped)
+    s = CountSample.from_counts(sample_counts(BaseDistribution(kind="cmp", lam=2.0, nu=1.5), 500, 9))
+    fit = fit_mle(BaseDistribution(kind="cmp", lam=1.0, nu=1.0), s)
+    assert fit.converged and len(calls) > 2
 
 
 def test_normalizer_memo_is_bounded():
@@ -463,23 +480,104 @@ def test_sample_counts_raises_at_term_cap():
         sample_counts(heavy, 100, 1, SeriesPolicy(max_terms=1000))
 
 
+def _spy(monkeypatch, log, tag, owner, name):
+    """Append tag to log at every call of owner.name, through every reference
+    to it that a bdcount module holds."""
+    real = getattr(owner, name)
+
+    def spied(*args, **kwargs):
+        log.append(tag)
+        return real(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, spied)
+        return
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("bdcount"):
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, spied)
+
+
 def test_fit_makes_one_support_pass_per_newton_point(monkeypatch):
-    import bdcount.fit
+    from bdcount import expfamily, models, stationary
 
-    calls = []
-    real = bdcount.fit.cumulants
+    expfamily._memo_pass.cache_clear()
+    log, points = [], []
+    _spy(monkeypatch, log, "pass", expfamily, "support_table")
+    _spy(monkeypatch, log, "series", stationary, "log_ratio_series_sum")
+    _spy(monkeypatch, log, "series", stationary, "_log_base_norm")
+    _spy(monkeypatch, log, "z", models, "infdef_log_z")
+    _spy(monkeypatch, log, "A", expfamily.CanonicalForm, "A")
+    real_pass = fit_module.support_pass
 
-    def counted(cf, eta=None):
-        calls.append(eta)
-        return real(cf, eta)
+    def recorded(cf, eta=None):
+        points.append(np.asarray(eta).tobytes())
+        return real_pass(cf, eta)
 
-    monkeypatch.setattr(bdcount.fit, "cumulants", counted)
+    monkeypatch.setattr(fit_module, "support_pass", recorded)
     template = InfDefDistribution(
         BaseDistribution(kind="cmp", lam=2.0, nu=1.2),
         InflationSpec(family="type1", points=(0, 3), factors=(1.0, 1.0)),
     )
     true = InfDefDistribution(template.base, InflationSpec(family="type1", points=(0, 3), factors=(1.8, 0.6)))
-    fit = fit_mle(template, CountSample.from_counts(sample_counts(true, 3000, 5)))
+    s = CountSample.from_counts(sample_counts(true, 3000, 5))
+    del log[:]
+    fit = fit_mle(template, s)
     assert fit.converged and fit.iterations >= 2
-    assert len(calls) == fit.iterations + 1
+    ## every evaluated point, trial points included, is one table pass, and
+    ## here every Newton step is a full step
+    assert len(set(points)) == len(points) == log.count("pass") == fit.iterations + 1
+    first, last = log.index("pass"), len(log) - 1 - log[::-1].index("pass")
+    assert set(log[first : last + 1]) == {"pass"}
     assert fit.standard_errors is not None
+
+
+def test_profile_score_reuses_the_last_pass_of_each_fit(monkeypatch):
+    from bdcount import expfamily
+
+    expfamily._memo_pass.cache_clear()
+    rng = np.random.default_rng(3)
+    s = CountSample.from_counts(rng.poisson(rng.gamma(4.0, 0.8, 20_000)))
+    log = []
+    _spy(monkeypatch, log, "pass", expfamily, "support_table")
+    inner = fit_module.fit_mle
+
+    def marked(*args, **kwargs):
+        log.append("fit")
+        res = inner(*args, **kwargs)
+        log.append("fit done")
+        return res
+
+    monkeypatch.setattr(fit_module, "fit_mle", marked)
+    prof = profile_fit(BaseDistribution(kind="hyper_poisson", lam=1.0, tau=1.0), s, grid=(0.5, 1.0, 2.0))
+    assert abs(prof.nuisance[1] - 5.7066) < 1e-3
+    inside, depth = 0, 0
+    for tag in log:
+        depth += {"fit": 1, "fit done": -1}.get(tag, 0)
+        inside += tag == "pass" and depth > 0
+    ## the scores at the inner optima make no pass of their own
+    assert inside == log.count("pass") > 0
+
+
+## A CMP type 1 table on which Newton used to stall: the series normalizer
+## and the support table disagreed by ~1e-10, so near the optimum no step
+## passed the Armijo test, and all 500 iterations ran.
+_STALL_TABLE = {0: 349, 1: 1017, 2: 734, 3: 90, 4: 82, 5: 13}
+
+
+def test_cmp_type1_fit_does_not_stall():
+    template = InfDefDistribution(
+        BaseDistribution(kind="cmp", lam=1.0, nu=1.0), InflationSpec("type1", (0, 3), (1.0, 1.0))
+    )
+    fit = fit_mle(template, CountSample.from_frequencies(_STALL_TABLE))
+    assert fit.converged and fit.iterations <= 20
+
+
+def test_cli_fit_of_the_stall_table_exits_0(tmp_path):
+    from bdcount import cli
+
+    data = tmp_path / "counts.csv"
+    data.write_text("value,count\n" + "".join(f"{v},{c}\n" for v, c in _STALL_TABLE.items()))
+    argv = ["fit", "--kind", "cmp", "--nu", "1", "--family", "type1", "--points", "0,3", "--data", str(data)]
+    assert cli.main(argv + ["--out", str(tmp_path / "fit.json")]) == 0
