@@ -14,6 +14,11 @@ statistics 1{n <= n_i} for type 2.  The Poisson-Lindley family admits no such
 form (its log PMF has a log(1 + lam + n lam) term that is not linear in any
 finite statistic) and is rejected.
 
+This module writes no family formula of its own: log h, its shape derivative,
+the base part of A and the map between (lam, nu) and eta are stationary's
+log_carrier, log_carrier_slope, log_norm and base_eta / base_from_eta, which
+also give stationary.log_kernel its terms.
+
 A is evaluated from eta alone, so the same CanonicalForm can be re-evaluated
 along an optimizer path.  support_pass makes one support table of the
 weights h(n) exp(T(n).eta) and reads from it A (the table's log mass) with its
@@ -40,15 +45,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UnsupportedFamilyError
-from .models import InfDefDistribution, InflationSpec, MixtureModel, infdef_log_z
+from .models import InfDefDistribution, InflationSpec, MixtureModel
 from .stationary import (
     DEFAULT_POLICY,
     BaseDistribution,
-    _log_base_norm,
     as_support,
+    base_eta,
+    base_from_eta,
+    log_carrier,
+    log_carrier_slope,
     log_gamma,
+    log_norm,
     log_ratio_series_sum,
-    log_rising_slope,
     support_floor,
     support_table,
 )
@@ -103,15 +111,7 @@ class CanonicalForm:
         return eta
 
     def log_h(self, n):
-        ns = as_support(n).astype(float)
-        if self.kind in ("geometric", "cmp"):
-            out = np.zeros_like(ns)
-        elif self.kind == "poisson":
-            out = -log_gamma(1.0, ns)
-        elif self.kind == "negative_binomial":
-            out = log_gamma(self.r, ns) - math.lgamma(self.r) - log_gamma(1.0, ns)
-        else:  # hyper_poisson
-            out = -(log_gamma(self.tau, ns) - math.lgamma(self.tau))
+        out = log_carrier(self.kind, as_support(n), self.r, self.tau)
         return float(out) if np.ndim(n) == 0 else out
 
     def h(self, n):
@@ -119,11 +119,7 @@ class CanonicalForm:
 
     def dlog_h(self, n):
         """Derivative of log h(n) in the carrier shape: r of a negative binomial, tau of a hyper-Poisson."""
-        if self.kind == "negative_binomial":
-            return log_rising_slope(self.r, n)
-        if self.kind == "hyper_poisson":
-            return -log_rising_slope(self.tau, n)
-        raise DomainError(f"a {self.kind} carrier has no shape parameter")
+        return log_carrier_slope(self.kind, n, self.r, self.tau)
 
     def T(self, n):
         """Sufficient statistic; shape (d,) for scalar n, (len(n), d) for arrays."""
@@ -138,49 +134,25 @@ class CanonicalForm:
 
     def base_at(self, eta):
         """The base law at eta; the carrier shapes are the form's."""
-        if self.kind == "geometric":
-            return BaseDistribution(kind="geometric", lam=math.exp(eta[0]))
-        if self.kind == "poisson":
-            return BaseDistribution(kind="poisson", lam=math.exp(eta[0]))
-        if self.kind == "negative_binomial":
-            return BaseDistribution(kind="negative_binomial", lam=self.r * math.exp(eta[0]), r=self.r)
-        if self.kind == "hyper_poisson":
-            return BaseDistribution(kind="hyper_poisson", lam=math.exp(eta[0]), tau=self.tau)
-        return BaseDistribution(kind="cmp", lam=math.exp(eta[0]), nu=-eta[1])
+        return base_from_eta(self.kind, eta, self.r, self.tau)
 
-    def model_at(self, eta=None):
-        """Rebuild the distribution object whose canonical coordinates are eta."""
-        eta = self._check_eta(eta)
+    def _law_at(self, eta):
+        """The base or type 1/2 law whose canonical coordinates are eta."""
         base = self.base_at(eta)
         if not self.points:
             return base
-        k = len(_BASE_SPACE[self.kind])
-        spec = InflationSpec(
-            family=self.family,
-            points=self.points,
-            factors=tuple(np.exp(eta[k:])),
-        )
-        dist = InfDefDistribution(base, spec, self.policy)
-        return dist if self.variant is None else MixtureModel.from_type1(dist, self.variant)
+        factors = tuple(np.exp(eta[len(_BASE_SPACE[self.kind]) :]))
+        return InfDefDistribution(base, InflationSpec(self.family, self.points, factors), self.policy)
+
+    def model_at(self, eta=None):
+        """Rebuild the distribution object whose canonical coordinates are eta."""
+        law = self._law_at(self._check_eta(eta))
+        return law if self.variant is None else MixtureModel.from_type1(law, self.variant)
 
     def A(self, eta=None):
         """Log-partition A(eta), finite on all of space."""
-        eta = self._check_eta(eta)
-        if self.kind == "geometric":
-            out = -math.log1p(-math.exp(eta[0]))
-        elif self.kind == "poisson":
-            out = math.exp(eta[0])
-        elif self.kind == "negative_binomial":
-            out = -self.r * math.log1p(-math.exp(eta[0]))
-        else:
-            out = _log_base_norm(self.base_at(eta), self.policy)
-        if self.points:
-            k = len(_BASE_SPACE[self.kind])
-            spec = InflationSpec(
-                family=self.family, points=self.points, factors=tuple(np.exp(eta[k:]))
-            )
-            out += infdef_log_z(self.base_at(eta), spec, self.policy)
-        return out
+        law = self._law_at(self._check_eta(eta))
+        return log_norm(law.base, self.policy) + law.log_z if self.points else log_norm(law, self.policy)
 
     def logpmf(self, n, eta=None):
         eta = self._check_eta(eta)
@@ -197,25 +169,17 @@ def canonicalize(model, policy=None):
     if isinstance(model, MixtureModel):
         return replace(canonicalize(model.as_type1(policy or DEFAULT_POLICY)), variant=model.variant)
     if isinstance(model, BaseDistribution):
-        base, points, family, pol = model, (), None, policy or DEFAULT_POLICY
-        factors = ()
+        base, points, family, factors, pol = model, (), None, (), policy or DEFAULT_POLICY
     elif isinstance(model, InfDefDistribution):
-        base, points, family = model.base, model.spec.points, model.spec.family
-        factors = model.spec.factors
-        pol = policy or model.policy
+        base, spec, pol = model.base, model.spec, policy or model.policy
+        points, family, factors = spec.points, spec.family, spec.factors
     else:
         raise DomainError(f"cannot canonicalize {type(model).__name__}")
-    if base.kind == "poisson_lindley":
+    if base.kind not in _BASE_SPACE:
         raise UnsupportedFamilyError(
             "the Poisson-Lindley family admits no canonical exponential-family form"
         )
-    if base.kind == "negative_binomial":
-        eta_base = [math.log(base.lam / base.r)]
-    else:
-        eta_base = [math.log(base.lam)]
-    if base.kind == "cmp":
-        eta_base.append(-base.nu)
-    eta = np.array(eta_base + [math.log(a) for a in factors])
+    eta = np.array(base_eta(base) + [math.log(a) for a in factors])
     return CanonicalForm(
         kind=base.kind,
         eta=eta,

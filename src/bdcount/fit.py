@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, SeriesCapError
 from .expfamily import canonicalize, shape_mean, support_pass
 from .models import InfDefDistribution, InflationSpec, model_from_document, model_logpmf
-from .stationary import DEFAULT_POLICY, BaseDistribution, base_pmf, support_floor, support_table
+from .stationary import DEFAULT_POLICY, base_pmf, lam_upper, support_floor, support_table
 
 _GRAD_TOL = 1e-8
 _MAX_ITER = 500
@@ -116,18 +116,11 @@ class FitResult:
     boundary: tuple | None = None
 
 
-def _start_base(kind, mean, r=None, tau=None, nu=None):
-    """Mean-matched starting parameters for each base kind."""
-    mean = max(mean, 1e-3)
-    if kind == "geometric":
-        return BaseDistribution(kind=kind, lam=mean / (1.0 + mean))
-    if kind == "poisson":
-        return BaseDistribution(kind=kind, lam=mean)
-    if kind == "negative_binomial":
-        return BaseDistribution(kind=kind, lam=r * mean / (r + mean), r=r)
-    if kind == "hyper_poisson":
-        return BaseDistribution(kind=kind, lam=mean, tau=tau)
-    return BaseDistribution(kind=kind, lam=mean, nu=nu)
+def _start_base(shape, mean):
+    """shape with a mean-matched lam: the mean m itself, or u m / (u + m) when lam < u = lam_upper,
+    the lam of the negative binomial with r = u (the geometric at u = 1) whose mean is m."""
+    mean, upper = max(mean, 1e-3), lam_upper(shape.kind, shape.r)
+    return replace(shape, lam=mean if upper == math.inf else upper * mean / (upper + mean))
 
 
 def _start_factors(family, points, base0, sample, policy):
@@ -157,8 +150,7 @@ def _start_factors(family, points, base0, sample, policy):
 
 def _initial_model(cf, sample, policy):
     """Starting law with the structure of the canonical form cf."""
-    shape = cf.base_at(cf.eta)
-    base0 = _start_base(shape.kind, sample.mean, r=shape.r, tau=shape.tau, nu=shape.nu)
+    base0 = _start_base(cf.base_at(cf.eta), sample.mean)
     if not cf.points:
         return base0
     factors = _start_factors(cf.family, cf.points, base0, sample, policy)

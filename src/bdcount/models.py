@@ -220,9 +220,13 @@ class MixtureModel:
             raise DomainError(f"variant must be one of {MIXTURE_VARIANTS}, got {self.variant!r}")
         object.__setattr__(self, "points", _check_points(self.points))
         object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
-        if self.variant in ("zero_inflated", "multiple_inflation"):
-            if self.variant == "zero_inflated" and self.points != (0,):
-                raise DomainError("zero_inflated perturbs the zero cell only; points must be (0,)")
+        own = {"hurdle": "pi", "haslett": "psi"}.get(self.variant, "omegas")
+        for name, unset in (("omegas", ()), ("pi", None), ("psi", None)):
+            if name != own and getattr(self, name) != unset:
+                raise DomainError(f"{self.variant} does not take {name}, got {getattr(self, name)}")
+        if self.variant != "multiple_inflation" and self.points != (0,):
+            raise DomainError(f"{self.variant} perturbs the zero cell only; points must be (0,)")
+        if own == "omegas":
             if len(self.omegas) != len(self.points):
                 raise DomainError(
                     f"omegas and points must have equal length, got {len(self.omegas)} and {len(self.points)}"
@@ -233,16 +237,10 @@ class MixtureModel:
                 raise DomainError(
                     f"boundary l1 violated: 1 - sum(omegas) must be positive, got {1.0 - sum(self.omegas)}"
                 )
-        elif self.variant == "hurdle":
-            if self.pi is None or not (0.0 < self.pi < 1.0):
-                raise DomainError(f"hurdle requires 0 < pi < 1, got {self.pi}")
-            if self.points != (0,):
-                raise DomainError("hurdle perturbs the zero cell only; points must be (0,)")
-        else:  # haslett
-            if self.psi is None or not math.isfinite(self.psi):
-                raise DomainError(f"haslett requires a finite psi, got {self.psi}")
-            if self.points != (0,):
-                raise DomainError("haslett perturbs the zero cell only; points must be (0,)")
+        elif own == "pi" and (self.pi is None or not 0.0 < self.pi < 1.0):
+            raise DomainError(f"hurdle requires 0 < pi < 1, got {self.pi}")
+        elif own == "psi" and (self.psi is None or not math.isfinite(self.psi)):
+            raise DomainError(f"haslett requires a finite psi, got {self.psi}")
 
     def logpmf(self, n, policy=DEFAULT_POLICY):
         """log PMF at n (a scalar or integer array); policy sums the base's series normalizer."""
@@ -409,7 +407,8 @@ def model_from_document(doc, policy=DEFAULT_POLICY):
 
     family "base" takes just the base object; "type1"/"type2" add "points"
     and "factors"; "mixture" adds "variant" plus the variant's parameters
-    ("points"/"omegas", "pi", or "psi").
+    ("points"/"omegas", "pi", or "psi"), all passed to one MixtureModel, whose
+    checks reject a field the variant does not take.
     """
     if not isinstance(doc, dict):
         raise DomainError("model document must be a JSON object")
@@ -427,14 +426,8 @@ def model_from_document(doc, policy=DEFAULT_POLICY):
         spec = InflationSpec(family=family, points=doc["points"], factors=doc["factors"])
         return InfDefDistribution(base, spec, policy)
     if family == "mixture":
-        variant = doc.get("variant")
-        if variant in ("zero_inflated", "multiple_inflation"):
-            points, omegas = tuple(doc.get("points", (0,))), tuple(doc.get("omegas", ()))
-            return MixtureModel(base=base, variant=variant, points=points, omegas=omegas)
-        if variant == "hurdle":
-            return MixtureModel(base=base, variant="hurdle", pi=doc.get("pi"))
-        if variant == "haslett":
-            return MixtureModel(base=base, variant="haslett", psi=doc.get("psi"))
-        raise DomainError(f"unknown mixture variant {variant!r}")
+        return MixtureModel(
+            base, doc.get("variant"), doc.get("points", (0,)), doc.get("omegas", ()), doc.get("pi"), doc.get("psi")
+        )
     raise DomainError(f"unknown family {family!r}; expected 'base', 'type1', 'type2', or 'mixture'")
 

@@ -35,6 +35,7 @@ from .models import (
     _Z_SUBTRACT,
     InfDefDistribution,
     InflationSpec,
+    MixtureModel,
     level_cells,
     log_levels,
     model_logpmf,
@@ -152,15 +153,15 @@ def _closed_moments(kind, lams, shape, family, points, log_f, policy):
 def moments_closed(model, policy=DEFAULT_POLICY):
     """Mean and variance via the finite perturbation corrections.
 
+    A mixture takes the moments of its type 1 law (MixtureModel.as_type1).
     The Poisson-Lindley base carries no usable moment decomposition here and
     falls back to direct summation, reported through used_direct_fallback.
     """
-    if isinstance(model, BaseDistribution):
-        base, spec = model, None
-    elif isinstance(model, InfDefDistribution):
-        base, spec = model.base, model.spec
-    else:
-        raise DomainError(f"moments_closed expects a base or perturbed model, got {type(model).__name__}")
+    if isinstance(model, MixtureModel):
+        model = model.as_type1(policy)
+    if not isinstance(model, (BaseDistribution, InfDefDistribution)):
+        raise DomainError(f"moments_closed expects a base, perturbed or mixture model, got {type(model).__name__}")
+    base, spec = (model.base, model.spec) if isinstance(model, InfDefDistribution) else (model, None)
     if base.kind == "poisson_lindley":
         summ = moments_direct(model, policy)
         return ClosedMoments(summ.mean, summ.variance, used_direct_fallback=True)

@@ -20,6 +20,13 @@ hyper-Poisson, Conway-Maxwell-Poisson), the generic ratio-to-PMF construction,
 a catalogue of relative weight functions between the families, and weighted
 PMFs p(n) proportional to w(n) * b(n).
 
+Each family's formulas are written here once, and the canonical form in
+expfamily, the fitter and the moment surfaces read them: log b(n) is the
+carrier log_carrier (the terms in n alone, the canonical log h) plus
+n * log_rate(lam) less the normalizer (closed_log_norm in closed form, a
+ratio series for SERIES_KINDS), and base_eta / base_from_eta map lam and nu
+to the natural coordinates and back.  Rising factorials come from log_rising.
+
 All series work is done in log space under a SeriesPolicy: normalizers of
 ratio sequences with a geometric tail bound, and every other sum over the
 support (moments, cumulants, sampling tables) by support_scan.
@@ -331,7 +338,7 @@ def check_kind_shape(kind, r=None, tau=None, nu=None):
 
 
 def lam_upper(kind, r=None):
-    """Supremum of the admissible lam: 1 (geometric, Poisson-Lindley), r (negative binomial) or inf."""
+    """Supremum of the admissible lam, where the ratio limit lam / lam_upper reaches 1: 1, r or inf."""
     return {"geometric": 1.0, "poisson_lindley": 1.0, "negative_binomial": r}.get(kind, math.inf)
 
 
@@ -355,15 +362,8 @@ def base_ratio(base, n):
 
 
 def base_ratio_sequence(base):
-    """Base-family ratios packaged with their limit for series control."""
-    hint = {
-        "geometric": base.lam,
-        "poisson": 0.0,
-        "poisson_lindley": base.lam,
-        "negative_binomial": base.lam / base.r if base.r else None,
-        "hyper_poisson": 0.0,
-        "cmp": 0.0,
-    }[base.kind]
+    """Base-family ratios packaged with their limit lam / lam_upper for series control."""
+    hint = base.lam / lam_upper(base.kind, base.r)
     return RatioSequence(eval=lambda n: base_ratio(base, n), limit_hint=hint)
 
 
@@ -443,6 +443,11 @@ def log_gamma(x, ns):
         return slot[0][idx]
 
 
+def log_rising(x, ns):
+    """log of the rising factorial (x)_n = Gamma(x + n) / Gamma(x), for real x > 0 and integers n >= 0."""
+    return log_gamma(x, ns) - math.lgamma(x)
+
+
 def log_rising_slope(x, ns):
     """d/dx [lgamma(x + n) - lgamma(x)] = sum_{k<n} 1/(x + k), for real x > 0 and integers n >= 0.
 
@@ -461,31 +466,74 @@ def log_rising_slope(x, ns):
     return out
 
 
+def log_carrier(kind, ns, r=None, tau=None):
+    """The terms of log b(n) in n alone, the canonical log h(n); 0 for the geometric,
+    the Poisson-Lindley (whose term in n holds lam) and the CMP (whose log n! is a statistic)."""
+    if kind == "poisson":
+        return -log_gamma(1.0, ns)
+    if kind == "negative_binomial":
+        return log_rising(r, ns) - log_gamma(1.0, ns)
+    if kind == "hyper_poisson":
+        return -log_rising(tau, ns)
+    return np.zeros(np.shape(ns))
+
+
+def log_carrier_slope(kind, ns, r=None, tau=None):
+    """Derivative of log_carrier in the carrier shape: r of a negative binomial, tau of a hyper-Poisson."""
+    if kind == "negative_binomial":
+        return log_rising_slope(r, ns)
+    if kind == "hyper_poisson":
+        return -log_rising_slope(tau, ns)
+    raise DomainError(f"a {kind} carrier has no shape parameter")
+
+
+def closed_log_norm(kind, lam, r=None):
+    """log of the closed-form normalizer of kind, 0 for SERIES_KINDS; lam may be an array.
+    The geometric law is the negative binomial with r = 1."""
+    if kind == "poisson":
+        return lam
+    if kind == "poisson_lindley":
+        return -2.0 * np.log1p(-lam)
+    if kind in ("geometric", "negative_binomial"):
+        return -(r or 1.0) * np.log1p(-lam / (r or 1.0))
+    return 0.0
+
+
+def log_norm(base, policy=DEFAULT_POLICY):
+    """log of the normalizer of base: closed_log_norm, or the ratio series of SERIES_KINDS."""
+    return _log_base_norm(base, policy) if base.kind in SERIES_KINDS else closed_log_norm(base.kind, base.lam, base.r)
+
+
+def log_rate(lam, r=None):
+    """eta_0 = log(lam / r), r = 1 but for the negative binomial: math.log of a float, np.log of an array."""
+    x = lam / (r or 1.0)
+    return math.log(x) if np.ndim(x) == 0 else np.log(x)
+
+
+def base_eta(base):
+    """The natural coordinates of base: eta_0 = log_rate, then eta_1 = -nu for the CMP."""
+    return [log_rate(base.lam, base.r)] + ([-base.nu] if base.kind == "cmp" else [])
+
+
+def base_from_eta(kind, eta, r=None, tau=None):
+    """The base law of kind with carrier shapes r, tau whose natural coordinates begin eta (inverse of base_eta)."""
+    return BaseDistribution(kind, (r or 1.0) * math.exp(eta[0]), r, tau, -eta[1] if kind == "cmp" else None)
+
+
 def log_kernel(kind, lam, ns, r=None, tau=None, nu=None):
     """log b(n) of a base family, less the series normalizer of SERIES_KINDS.
 
-    lam is a float or an array broadcasting against the float array ns (a
-    column of lam values gives one row per value); the terms in n alone are
-    evaluated once on ns.
+    It is log_carrier + n log_rate - closed_log_norm, plus the Poisson-Lindley's
+    term in n and lam or the CMP's -nu log n!.  lam is a float or an array
+    broadcasting against the integer array ns (a column of lam gives one row per
+    value); the terms in n alone are evaluated once on ns.
     """
-    log_lam = np.log(lam)
-    if kind == "geometric":
-        return np.log1p(-lam) + ns * log_lam
-    if kind == "poisson":
-        return ns * log_lam - lam - log_gamma(1.0, ns)
+    out = -closed_log_norm(kind, lam, r)
     if kind == "poisson_lindley":
-        return 2.0 * np.log1p(-lam) + np.log(1.0 + lam + ns * lam) + ns * log_lam
-    if kind == "negative_binomial":
-        return (
-            log_gamma(r, ns)
-            - math.lgamma(r)
-            - log_gamma(1.0, ns)
-            + ns * (log_lam - math.log(r))
-            + r * np.log1p(-lam / r)
-        )
-    if kind == "hyper_poisson":
-        return ns * log_lam - (log_gamma(tau, ns) - math.lgamma(tau))
-    return ns * log_lam - nu * log_gamma(1.0, ns)  # cmp
+        out = out + np.log(1.0 + lam + ns * lam)
+    out = out + ns * log_rate(lam, r)
+    terms = log_carrier(kind, ns, r, tau)
+    return out + (terms - nu * log_gamma(1.0, ns) if kind == "cmp" else terms)
 
 
 def base_logpmf(base, n, policy=DEFAULT_POLICY):
@@ -553,10 +601,10 @@ def catalogue_weight(name, against="poisson", **params):
         body = lambda ns: np.log(1.0 + (ns + 1.0) * lam) + log_gamma(1.0, ns)
     elif name == "negative_binomial":
         r = _need(params, "r", name)
-        body = lambda ns: log_gamma(r, ns) - math.lgamma(r) - ns * math.log(r)
+        body = lambda ns: log_rising(r, ns) - ns * math.log(r)
     elif name == "hyper_poisson":
         tau = _need(params, "tau", name)
-        body = lambda ns: log_gamma(1.0, ns) - (log_gamma(tau, ns) - math.lgamma(tau))
+        body = lambda ns: log_gamma(1.0, ns) - log_rising(tau, ns)
     elif name == "cmp":
         nu = _need(params, "nu", name)
         body = lambda ns: (1.0 - nu) * log_gamma(1.0, ns)

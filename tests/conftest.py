@@ -1,9 +1,15 @@
-"""Shared helpers: seeded random model generators used across test modules."""
+"""Shared helpers: the hypothesis profile and seeded random model generators used across test modules."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bdcount import BaseDistribution, InflationSpec, base_pmf
+
+## One hypothesis profile for every property test: the same examples on every
+## run, no wall-clock deadline, and no example database written to disk.
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
 
 ## Base kinds with a canonical exponential-family form.
 EF_KINDS = ("geometric", "poisson", "negative_binomial", "hyper_poisson", "cmp")

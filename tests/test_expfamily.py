@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from bdcount import (
@@ -21,7 +23,7 @@ from bdcount import (
     model_ratio_sequence,
 )
 from bdcount.expfamily import support_pass
-from conftest import random_base, random_spec
+from conftest import EF_KINDS, random_base, random_spec
 
 EF_BASES = [
     BaseDistribution(kind="geometric", lam=0.6),
@@ -37,15 +39,45 @@ def _perturbed(base, family):
     return InfDefDistribution(base, spec)
 
 
+## Base laws of each canonical kind, near the edges of their domains too:
+## geometric lam up to 0.999, negative binomial lam/r up to 0.99, CMP nu down
+## to 0.3.  lam (lam/r) stays above e^-4, where exp(log lam) is within 3 ulp.
+_BASES = {
+    "geometric": st.builds(lambda lam: BaseDistribution("geometric", lam=lam), st.floats(0.02, 0.999)),
+    "poisson": st.builds(lambda lam: BaseDistribution("poisson", lam=lam), st.floats(0.05, 20.0)),
+    "negative_binomial": st.builds(
+        lambda p, r: BaseDistribution("negative_binomial", lam=p * r, r=r), st.floats(0.02, 0.99), st.floats(0.3, 10.0)
+    ),
+    "hyper_poisson": st.builds(
+        lambda lam, tau: BaseDistribution("hyper_poisson", lam=lam, tau=tau), st.floats(0.05, 8.0), st.floats(0.2, 5.0)
+    ),
+    "cmp": st.builds(lambda lam, nu: BaseDistribution("cmp", lam=lam, nu=nu), st.floats(0.05, 5.0), st.floats(0.3, 2.5)),
+}
+
+
+def _drawn_model(data, kind, family):
+    """A drawn base law of kind, perturbed by family (None: the base) at up to 3 points in 0..6."""
+    base = data.draw(_BASES[kind])
+    if family is None:
+        return base
+    points = sorted(data.draw(st.sets(st.integers(0, 6), min_size=1, max_size=3)))
+    log_f = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(points), max_size=len(points)))
+    return InfDefDistribution(base, InflationSpec(family, tuple(points), tuple(np.exp(log_f))))
+
+
 def test_poisson_lindley_has_no_canonical_form():
     with pytest.raises(UnsupportedFamilyError):
         canonicalize(BaseDistribution(kind="poisson_lindley", lam=0.5))
 
 
-@pytest.mark.parametrize("base", EF_BASES, ids=lambda b: b.kind)
+@pytest.mark.parametrize("kind", EF_KINDS)
 @pytest.mark.parametrize("family", [None, "type1", "type2"])
-def test_canonical_logpmf_matches_model(base, family):
-    model = base if family is None else _perturbed(base, family)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_canonical_logpmf_matches_model(kind, family, data):
+    ## h, T.eta and A read stationary's carrier, eta map and normalizers; at
+    ## drawn parameters they give back the model's own log PMF.
+    model = _drawn_model(data, kind, family)
     cf = canonicalize(model)
     ns = np.arange(60)
     assert np.max(np.abs(cf.logpmf(ns) - model_logpmf(model, ns))) < 1e-10
@@ -232,10 +264,14 @@ def test_eta_outside_space_rejected():
         cf.A(np.array([-0.1, -0.1]))
 
 
-def test_model_at_rebuilds(rng):
-    base = BaseDistribution(kind="negative_binomial", lam=1.8, r=3.0)
-    model = _perturbed(base, "type2")
-    cf = canonicalize(model)
-    rebuilt = cf.model_at()
+@settings(max_examples=150)
+@given(data=st.data(), kind=st.sampled_from(EF_KINDS), family=st.sampled_from([None, "type1", "type2"]))
+def test_model_at_rebuilds(data, kind, family):
+    ## base_from_eta inverts base_eta: the kind and shapes come back exactly, lam within 4 ulp.
+    model = _drawn_model(data, kind, family)
+    rebuilt = canonicalize(model).model_at()
+    base, got = (model, rebuilt) if family is None else (model.base, rebuilt.base)
+    assert (got.kind, got.r, got.tau, got.nu) == (base.kind, base.r, base.tau, base.nu)
+    assert abs(got.lam - base.lam) <= 4.0 * math.ulp(base.lam)
     ns = np.arange(50)
     assert np.allclose(rebuilt.logpmf(ns), model.logpmf(ns), rtol=1e-12)

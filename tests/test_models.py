@@ -241,6 +241,11 @@ def test_json_document_roundtrip():
         {"family": "mixture", "variant": "spike", "base": {"kind": "poisson", "lambda": 1.0}},
         {"family": "base", "base": {"kind": "poisson", "lambda": 1.0}, "extra": 1},
         [1, 2, 3],
+        ## a zero-cell variant at another point is refused, not read as a model at 0
+        {"family": "mixture", "variant": "hurdle", "points": [2], "pi": 0.3, "base": {"kind": "poisson", "lambda": 1.0}},
+        {"family": "mixture", "variant": "haslett", "points": [3], "psi": 0.5, "base": {"kind": "poisson", "lambda": 1.0}},
+        ## and a field of another variant is refused, not dropped
+        {"family": "mixture", "variant": "hurdle", "pi": 0.3, "omegas": [0.1], "base": {"kind": "poisson", "lambda": 1.0}},
     ],
 )
 def test_bad_documents_rejected(doc):
@@ -346,7 +351,7 @@ def _point_mass_mixture(base, variant, points, u, shares, policy):
     return MixtureModel(base=base, variant=variant, points=points, omegas=tuple((cells - rest * b).tolist()))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     base=_BASES,
     variant=st.sampled_from(["zero_inflated", "multiple_inflation", "hurdle", "haslett"]),

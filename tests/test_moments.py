@@ -46,9 +46,19 @@ def test_poisson_lindley_fallback_flag():
 
 
 def test_closed_matches_direct_random(rng):
+    models = []
     for _ in range(30):
         base = random_base(rng)
-        model = InfDefDistribution(base, random_spec(rng))
+        models.append(InfDefDistribution(base, random_spec(rng)))
+    ## moments_closed takes a mixture of any variant through its type 1 law
+    nb = BaseDistribution(kind="negative_binomial", lam=1.8, r=3.0)
+    models += [
+        MixtureModel(base=nb, variant="zero_inflated", omegas=(0.2,)),
+        MixtureModel(base=nb, variant="multiple_inflation", points=(0, 3), omegas=(0.1, -0.02)),
+        MixtureModel(base=nb, variant="hurdle", pi=0.3),
+        MixtureModel(base=nb, variant="haslett", psi=-0.7),
+    ]
+    for model in models:
         closed = moments_closed(model)
         direct = moments_direct(model)
         assert abs(closed.mean - direct.mean) < 1e-8
@@ -223,7 +233,7 @@ def test_dispersion_surface_matches_direct(kind, family, q):
             assert abs(grid[i, j] - want) <= 1e-8 * want, (lam, phi)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     kind=st.sampled_from(EF_KINDS),
     family=st.sampled_from(["type1", "type2"]),

@@ -236,7 +236,7 @@ def sim_models(draw):
     return base, draw(st.sampled_from(("linear", "constant")))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(model=sim_models(), seed=st.integers(0, 2**31), sample_time=st.floats(5.0, 60.0))
 def test_sample_path_invariants(model, seed, sample_time):
     base, scheme = model
