@@ -23,11 +23,13 @@ A is evaluated from eta alone, so the same CanonicalForm can be re-evaluated
 along an optimizer path.  support_pass makes one support table of the
 weights h(n) exp(T(n).eta) and reads from it A (the table's log mass) with its
 gradient and Hessian (the mean and covariance of T(N)), so all three come from
-one truncation; cumulants, grad_A and hess_A read the pass, and so does
-shape_mean, the derivative of A in a carrier shape (r, tau) at fixed eta, the
-mean of d log h(N) / d shape.  Passes are memoized per eta, so a derivative read
-at a fitted eta costs no second pass.  CanonicalForm.A sums the closed form or
-the ratio series instead, and agrees with the pass to series tolerance.
+one truncation.  T is built once, block by block as the table grows: the
+blocks give the weights and then the mean and covariance.  cumulants, grad_A
+and hess_A read the pass, and so does shape_mean, the derivative of A in a
+carrier shape (r, tau) at fixed eta, the mean of d log h(N) / d shape.
+Passes are memoized per eta, so a derivative read at a fitted eta costs no
+second pass.  CanonicalForm.A sums the closed form or the ratio series
+instead, and agrees with the pass to series tolerance.
 
 For any of these laws the stationary construction gives the identity
 
@@ -228,12 +230,18 @@ def support_pass(cf, eta=None):
 def _memo_pass(kind, r, tau, points, family, policy, eta_bytes):
     """support_pass on the hashable fields of a canonical form."""
     cf = CanonicalForm(kind, np.frombuffer(eta_bytes), _space(kind, points), policy, r, tau, points, family)
-    ns, log_w = support_table(lambda ns: cf.log_h(ns) + cf.T(ns) @ cf.eta, policy, support_floor(cf))
+    stats = []  # T over each block of the table, kept for the mean and covariance
+
+    def log_weights(ns):
+        stats.append(cf.T(ns))
+        return cf.log_h(ns) + stats[-1] @ cf.eta
+
+    ns, log_w = support_table(log_weights, policy, support_floor(cf))
     top = log_w.max()
     w = np.exp(log_w - top)
     mass = w.sum()
     w /= mass
-    t_mat = cf.T(ns)
+    t_mat = np.concatenate(stats)[: len(ns)]
     mean = w @ t_mat
     dev = t_mat - mean
     cov = (dev * w[:, None]).T @ dev

@@ -47,8 +47,15 @@ FAMILIES = ("type1", "type2")
 MIXTURE_VARIANTS = ("zero_inflated", "multiple_inflation", "hurdle", "haslett")
 
 
+def _listed(name, values):
+    """values, which must be a list or tuple: a scalar from a model document is a DomainError."""
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"{name} must be a list, got {values!r}")
+    return values
+
+
 def _check_points(points):
-    pts = tuple(int(p) for p in points)
+    pts = tuple(int(p) for p in _listed("points", points))
     if len(pts) == 0:
         raise DomainError("points must be non-empty")
     if any(p < 0 for p in pts) or any(p != q for p, q in zip(pts, points)):
@@ -70,7 +77,7 @@ class InflationSpec:
         if self.family not in FAMILIES:
             raise DomainError(f"family must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "points", _check_points(self.points))
-        facs = tuple(float(a) for a in self.factors)
+        facs = tuple(float(a) for a in _listed("factors", self.factors))
         if len(facs) != len(self.points):
             raise DomainError(
                 f"factors and points must have equal length, got {len(facs)} and {len(self.points)}"
@@ -219,7 +226,7 @@ class MixtureModel:
         if self.variant not in MIXTURE_VARIANTS:
             raise DomainError(f"variant must be one of {MIXTURE_VARIANTS}, got {self.variant!r}")
         object.__setattr__(self, "points", _check_points(self.points))
-        object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
+        object.__setattr__(self, "omegas", tuple(float(w) for w in _listed("omegas", self.omegas)))
         own = {"hurdle": "pi", "haslett": "psi"}.get(self.variant, "omegas")
         for name, unset in (("omegas", ()), ("pi", None), ("psi", None)):
             if name != own and getattr(self, name) != unset:

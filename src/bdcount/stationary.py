@@ -29,7 +29,10 @@ to the natural coordinates and back.  Rising factorials come from log_rising.
 
 All series work is done in log space under a SeriesPolicy: normalizers of
 ratio sequences with a geometric tail bound, and every other sum over the
-support (moments, cumulants, sampling tables) by support_scan.
+support (moments, cumulants, sampling tables) under one stop rule,
+support_settled.  support_scan applies it block by block to many laws at
+once; support_table, which keeps one law's log weights, applies it in one
+vectorized step over the table's blocks each time the table doubles.
 """
 
 import functools
@@ -172,15 +175,24 @@ SUPPORT_BLOCK = 64
 _LOG_FLOOR = np.finfo(float).min
 
 
+def support_settled(bmass, mass, mean, var, top, min_top, rel_tol):
+    """The one stop rule for sums over the support, elementwise.
+
+    A sum over [0, top) is settled when its last block's mass bmass is below
+    rel_tol of its mass, top > mean + 12 sd and top > min_top.  support_scan
+    applies it per block across rows, support_table across one table's blocks.
+    """
+    return (bmass < rel_tol * mass) & (top > mean + 12.0 * np.sqrt(var)) & (top > min_top)
+
+
 def support_scan(log_w, rows, policy, min_top=0):
     """Block scan over n of `rows` laws at once, in log space.
 
-    This is the package's one truncation rule for sums over the support.
     log_w(ns, idx) gives the unnormalized log weights of rows idx at the integer
-    array ns, shape (len(idx), len(ns)).  Each row stops at the smallest
-    block-aligned top with tail block mass < rel_tol * mass, top > mean + 12 sd
-    and top > min_top.  Weights are shifted by each row's running maximum, and
-    the mean and variance merged block by block, so no table over n is held.
+    array ns, shape (len(idx), len(ns)).  Each row stops at the first block
+    boundary where support_settled holds; the per-block cost is shared by every
+    row.  Weights are shifted by each row's running maximum, and the mean and
+    variance merged block by block, so no table over n is held.
 
     Returns top, log mass, mean and variance over [0, top) per row; a row that
     has not settled once start passes policy.max_terms gets top -1 and NaN.
@@ -210,7 +222,7 @@ def support_scan(log_w, rows, policy, min_top=0):
         m2 = m2 * scale + bm2 + dev * dev * old * bmass / mass
         shift = new
         start += SUPPORT_BLOCK
-        done = (bmass < policy.rel_tol * mass) & (start > mean + 12.0 * np.sqrt(m2 / mass)) & (start > min_top)
+        done = support_settled(bmass, mass, mean, m2 / mass, start, min_top, policy.rel_tol)
         if done.any():
             top[act[done]] = start
             res[:, act[done]] = shift[done] + np.log(mass[done]), mean[done], m2[done] / mass[done]
@@ -219,28 +231,59 @@ def support_scan(log_w, rows, policy, min_top=0):
     return top, *res
 
 
+def _first_settled(lw, lo, policy, min_top):
+    """Least block boundary top > lo * SUPPORT_BLOCK of the table lw where support_settled holds, else -1.
+
+    One vectorized step over all blocks of lw: the weights w are shifted by
+    the table's maximum (floored as in support_scan, so a table of log 0 gives
+    zero weights, not NaN), and the prefix mass, mean and variance at every
+    boundary come from cumulative block sums of w, w d and w d^2, d = n less
+    the table's argmax, which keeps the variance free of cancellation near the
+    mode, where the cut falls.
+    """
+    peak = int(lw.argmax())
+    d = np.arange(-peak, len(lw) - peak, dtype=float)
+    terms = np.empty((3, len(lw)))
+    np.exp(lw - max(lw[peak], _LOG_FLOOR), out=terms[0])
+    np.multiply(terms[0], d, out=terms[1])
+    np.multiply(terms[1], d, out=terms[2])
+    sums = terms.reshape(3, -1, SUPPORT_BLOCK).sum(axis=2)
+    mass, s1, s2 = np.cumsum(sums, axis=1)[:, lo:]
+    ## Leading cells of zero weight give mass 0; the mass test fails there
+    ## whatever the moments, so they only need to stay finite.
+    safe = np.maximum(mass, np.finfo(float).tiny)
+    mean = s1 / safe
+    var = np.maximum(s2 / safe - mean * mean, 0.0)
+    tops = SUPPORT_BLOCK * np.arange(lo + 1, lo + 1 + len(mass))
+    done = support_settled(sums[0, lo:], mass, peak + mean, var, tops, min_top, policy.rel_tol)
+    i = int(done.argmax())
+    return int(tops[i]) if done[i] else -1
+
+
 def support_table(log_w, policy, min_top=0):
     """Log weights of one law over its truncated support [0, top).
 
-    log_w maps an integer array ns to unnormalized log weights, and top is
-    where support_scan stops.  The table is extended by doubling as the scan
-    asks for blocks, so log_w is called O(log top) times and no n twice.
-    Returns (ns, log_w(ns)); raises SeriesCapError when the scan passes
-    policy.max_terms without settling.
+    log_w maps an integer array ns to unnormalized log weights.  The table
+    starts at 2 * SUPPORT_BLOCK entries and doubles; after each growth,
+    _first_settled cuts it at the first new block boundary where
+    support_settled holds, the rule support_scan applies block by block, so
+    top is where the scan stops on the same law; log_w is called O(log top)
+    times and no n twice.  As in the scan, no block starting past
+    policy.max_terms is examined.  Returns (ns, log_w(ns)); raises
+    SeriesCapError when no boundary settles.
     """
     table = np.empty(0)
-
-    def block(ns, idx):
-        nonlocal table
-        if ns[-1] >= len(table):
-            ext = np.arange(len(table), max(2 * len(table), 2 * SUPPORT_BLOCK))
-            table = np.concatenate([table, np.asarray(log_w(ext), dtype=float)])
-        return table[None, ns[0] : ns[-1] + 1]
-
-    top = support_scan(block, 1, policy, min_top)[0][0]
-    if top < 0:
-        raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
-    return np.arange(top), table[:top]
+    blocks = policy.max_terms // SUPPORT_BLOCK + 1  # blocks the scan may examine
+    seen = 0
+    while seen < blocks:
+        ext = np.arange(len(table), max(2 * len(table), 2 * SUPPORT_BLOCK))
+        table = np.concatenate([table, np.asarray(log_w(ext), dtype=float)])
+        now = min(len(table) // SUPPORT_BLOCK, blocks)
+        top = _first_settled(table[: now * SUPPORT_BLOCK], seen, policy, min_top)
+        if top > 0:
+            return np.arange(top), table[:top]
+        seen = now
+    raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
 
 
 def support_floor(model):

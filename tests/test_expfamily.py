@@ -22,7 +22,8 @@ from bdcount import (
     model_logpmf,
     model_ratio_sequence,
 )
-from bdcount.expfamily import support_pass
+from bdcount import expfamily
+from bdcount.expfamily import CanonicalForm, support_pass
 from conftest import EF_KINDS, random_base, random_spec
 
 EF_BASES = [
@@ -231,6 +232,32 @@ def test_support_pass_log_mass_is_A_and_its_mean_the_gradient(base, family):
         central = (support_pass(cf, cf.eta + e).log_mass - support_pass(cf, cf.eta - e).log_mass) / (2.0 * h)
         assert abs(central - res.mean[j]) <= 1e-6 * max(1.0, abs(res.mean[j]))
     assert not (res.mean.flags.writeable or res.cov.flags.writeable or res.weights.flags.writeable)
+
+
+def test_support_pass_builds_the_statistic_once(monkeypatch):
+    ## The pass keeps T of each table block for its mean and covariance, so T
+    ## runs once per log-weight call and never again over the whole table.
+    cf = canonicalize(_perturbed(BaseDistribution(kind="negative_binomial", lam=0.686, r=0.7), "type2"))
+    calls = {"T": 0, "log_w": 0}
+    stat, table = CanonicalForm.T, expfamily.support_table
+
+    def counted_stat(self, n):
+        calls["T"] += 1
+        return stat(self, n)
+
+    def counted_table(log_w, *args):
+        def counted(ns):
+            calls["log_w"] += 1
+            return log_w(ns)
+
+        return table(counted, *args)
+
+    monkeypatch.setattr(CanonicalForm, "T", counted_stat)
+    monkeypatch.setattr(expfamily, "support_table", counted_table)
+    expfamily._memo_pass.cache_clear()
+    support_pass(cf)
+    assert calls["log_w"] >= 2  # the table grew at least once
+    assert calls["T"] == calls["log_w"]
 
 
 def test_grad_first_coordinate_is_mean():

@@ -246,6 +246,10 @@ def test_json_document_roundtrip():
         {"family": "mixture", "variant": "haslett", "points": [3], "psi": 0.5, "base": {"kind": "poisson", "lambda": 1.0}},
         ## and a field of another variant is refused, not dropped
         {"family": "mixture", "variant": "hurdle", "pi": 0.3, "omegas": [0.1], "base": {"kind": "poisson", "lambda": 1.0}},
+        ## a scalar where a list belongs is a typed error, not a TypeError
+        {"family": "mixture", "variant": "zero_inflated", "points": 3, "omegas": [0.2], "base": {"kind": "poisson", "lambda": 2.0}},
+        {"family": "type1", "points": [0], "factors": 2.0, "base": {"kind": "poisson", "lambda": 2.0}},
+        {"family": "mixture", "variant": "zero_inflated", "omegas": 0.2, "base": {"kind": "poisson", "lambda": 2.0}},
     ],
 )
 def test_bad_documents_rejected(doc):

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bdcount import (
     BaseDistribution,
     DivergenceError,
     DomainError,
+    InfDefDistribution,
+    InflationSpec,
     RatioSequence,
     SeriesCapError,
     SeriesPolicy,
@@ -18,6 +22,7 @@ from bdcount import (
     base_pmf,
     base_ratio,
     base_ratio_sequence,
+    canonicalize,
     catalogue_weight,
     log_ratio_series_sum,
 )
@@ -29,6 +34,8 @@ from bdcount.stationary import (
     _lgamma_slot,
     log_gamma,
     log_rising_slope,
+    support_floor,
+    support_scan,
     support_table,
 )
 
@@ -251,6 +258,54 @@ def test_support_table_evaluates_each_n_once():
     assert len(ns) % SUPPORT_BLOCK == 0
     assert np.array_equal(log_p, base_logpmf(base, ns))
     assert abs(np.exp(log_p).sum() - 1.0) < 1e-10
+
+
+## Base laws of the five canonical kinds out to the edges the support rule
+## meets: Poisson mass far from 0, NB and geometric tails with lam/r to 0.999,
+## CMP with nu from 0.2.
+_CUT_BASES = st.one_of(
+    st.builds(lambda lam: BaseDistribution("geometric", lam=lam), st.floats(0.01, 0.999)),
+    st.builds(lambda e: BaseDistribution("poisson", lam=10.0**e), st.floats(-2.0, math.log10(2e4))),
+    st.builds(
+        lambda p, r: BaseDistribution("negative_binomial", lam=p * r, r=r), st.floats(0.01, 0.999), st.floats(0.2, 20.0)
+    ),
+    st.builds(
+        lambda lam, tau: BaseDistribution("hyper_poisson", lam=lam, tau=tau), st.floats(0.05, 50.0), st.floats(0.2, 5.0)
+    ),
+    st.builds(lambda lam, nu: BaseDistribution("cmp", lam=lam, nu=nu), st.floats(0.05, 5.0), st.floats(0.2, 2.5)),
+)
+
+
+@st.composite
+def _cut_laws(draw):
+    """A drawn base law, as it is or perturbed (type 1 or 2) at up to 3 points in 0..1000, factors 1e-8 to 1e6."""
+    base = draw(_CUT_BASES)
+    family = draw(st.sampled_from([None, "type1", "type2"]))
+    if family is None:
+        return base
+    points = sorted(draw(st.sets(st.integers(0, 1000), min_size=1, max_size=3)))
+    log_f = draw(st.lists(st.floats(-8.0, 6.0), min_size=len(points), max_size=len(points)))
+    return InfDefDistribution(base, InflationSpec(family, tuple(points), tuple(10.0**x for x in log_f)))
+
+
+@settings(max_examples=150)
+@given(law=_cut_laws(), rel_tol=st.sampled_from([1e-6, 1e-10, 1e-14]), max_terms=st.sampled_from([1000, 100_000]))
+@example(law=BaseDistribution("poisson", lam=2e4), rel_tol=1e-10, max_terms=1000)
+def test_support_table_cuts_where_the_scan_stops(law, rel_tol, max_terms):
+    ## One stop rule: the table's vectorized cut and the scan's block loop
+    ## give the same top, and a law the scan leaves unsettled (-1) raises.
+    cf = canonicalize(law)
+    policy, floor = SeriesPolicy(rel_tol, max_terms), support_floor(cf)
+
+    def log_w(ns):
+        return cf.log_h(ns) + cf.T(ns) @ cf.eta
+
+    top = support_scan(lambda ns, idx: log_w(ns)[None, :], 1, policy, floor)[0][0]
+    if top < 0:
+        with pytest.raises(SeriesCapError):
+            support_table(log_w, policy, floor)
+    else:
+        assert len(support_table(log_w, policy, floor)[0]) == top
 
 
 @pytest.mark.parametrize("x", [1.0, 1e-3, 0.3, 1.7, 2.2, 7.5, 25.0, 100.0])
