@@ -28,8 +28,9 @@ blocks give the weights and then the mean and covariance.  cumulants, grad_A
 and hess_A read the pass, and so does shape_mean, the derivative of A in a
 carrier shape (r, tau) at fixed eta, the mean of d log h(N) / d shape.
 Passes are memoized per eta, so a derivative read at a fitted eta costs no
-second pass.  CanonicalForm.A sums the closed form or the ratio series
-instead, and agrees with the pass to series tolerance.
+second pass.  CanonicalForm.A instead adds the base's log_norm (a closed form,
+or the log mass of the base's own support table) to the perturbation's log z,
+and agrees with the pass to the tables' tolerance.
 
 For any of these laws the stationary construction gives the identity
 
@@ -125,14 +126,18 @@ class CanonicalForm:
 
     def T(self, n):
         """Sufficient statistic; shape (d,) for scalar n, (len(n), d) for arrays."""
-        flat = np.atleast_1d(as_support(n))
-        out = np.empty((len(flat), self.dim))
-        out[:, 0] = flat
-        if self.kind == "cmp":
-            out[:, 1] = log_gamma(1.0, flat)
-        for j, p in enumerate(self.points, start=len(_BASE_SPACE[self.kind])):
-            out[:, j] = flat == p if self.family == "type1" else flat <= p
+        out = self.stat_rows(np.atleast_1d(as_support(n)))
         return out[0] if np.ndim(n) == 0 else out
+
+    def stat_rows(self, ns):
+        """T on a 1-d int array ns taken as valid, shape (len(ns), d); T validates, this does not."""
+        out = np.empty((len(ns), self.dim))
+        out[:, 0] = ns
+        if self.kind == "cmp":
+            out[:, 1] = log_gamma(1.0, ns)
+        for j, p in enumerate(self.points, start=len(_BASE_SPACE[self.kind])):
+            out[:, j] = ns == p if self.family == "type1" else ns <= p
+        return out
 
     def base_at(self, eta):
         """The base law at eta; the carrier shapes are the form's."""
@@ -232,9 +237,10 @@ def _memo_pass(kind, r, tau, points, family, policy, eta_bytes):
     cf = CanonicalForm(kind, np.frombuffer(eta_bytes), _space(kind, points), policy, r, tau, points, family)
     stats = []  # T over each block of the table, kept for the mean and covariance
 
+    ## ns is the table's own range, so the carrier and statistic skip as_support.
     def log_weights(ns):
-        stats.append(cf.T(ns))
-        return cf.log_h(ns) + stats[-1] @ cf.eta
+        stats.append(cf.stat_rows(ns))
+        return log_carrier(kind, ns, r, tau) + stats[-1] @ cf.eta
 
     ns, log_w = support_table(log_weights, policy, support_floor(cf))
     top = log_w.max()

@@ -8,7 +8,13 @@ above by 0), which is globally concave.  Each point it evaluates, line-search
 trials included, costs one expfamily.support_pass, which gives A, grad A and
 hess A from one table; so the value in the Armijo test is the function whose
 derivatives set the step, and full steps near the optimum pass it.  An
-accepted trial's pass scores the next iterate.
+accepted trial's pass scores the next iterate.  The reported log-likelihood is
+sum_i f_i log h(y_i) + N (T_bar . eta_hat - A), A from the pass that scored
+eta_hat: the value Newton maximized, with no sum after the fit (loglik agrees
+with it to about 1e-10 relative).  The start matches the sample mean m; a
+hyper-Poisson starts at lam = m + (tau - 1)(1 - p0), p0 the sample's share of
+zeros, by its identity E[N] = lam - (tau - 1)(1 - P(N = 0)): the MLE solves
+E[N] = m, so the start is off only by the mismatch in P(N = 0).
 
 Shape parameters held inside the carrier h (r of the negative binomial, tau
 of the hyper-Poisson) are not canonical coordinates; profile_fit maximizes
@@ -116,10 +122,16 @@ class FitResult:
     boundary: tuple | None = None
 
 
-def _start_base(shape, mean):
-    """shape with a mean-matched lam: the mean m itself, or u m / (u + m) when lam < u = lam_upper,
-    the lam of the negative binomial with r = u (the geometric at u = 1) whose mean is m."""
-    mean, upper = max(mean, 1e-3), lam_upper(shape.kind, shape.r)
+def _start_base(shape, sample):
+    """shape with a lam matched to the sample mean m: m itself, or u m / (u + m) when
+    lam < u = lam_upper, the lam of the negative binomial with r = u (the geometric
+    at u = 1) whose mean is m; for a hyper-Poisson, whose ratios lam / (tau + n) give
+    E[N] = lam - (tau - 1)(1 - P(N = 0)), m + (tau - 1)(1 - p0), p0 the share of zeros."""
+    mean, upper = sample.mean, lam_upper(shape.kind, shape.r)
+    if shape.kind == "hyper_poisson":
+        p0 = sample.freqs[0] / sample.size if sample.values[0] == 0 else 0.0
+        mean += (shape.tau - 1.0) * (1.0 - p0)
+    mean = max(mean, 1e-3)
     return replace(shape, lam=mean if upper == math.inf else upper * mean / (upper + mean))
 
 
@@ -150,17 +162,17 @@ def _start_factors(family, points, base0, sample, policy):
 
 def _initial_model(cf, sample, policy):
     """Starting law with the structure of the canonical form cf."""
-    base0 = _start_base(cf.base_at(cf.eta), sample.mean)
+    base0 = _start_base(cf.base_at(cf.eta), sample)
     if not cf.points:
         return base0
     factors = _start_factors(cf.family, cf.points, base0, sample, policy)
     return InfDefDistribution(base0, InflationSpec(cf.family, cf.points, factors), policy)
 
 
-def _sample_stat_mean(cf, sample):
-    t_mat = cf.T(np.asarray(sample.values))
-    freqs = np.asarray(sample.freqs)
-    return freqs @ t_mat / freqs.sum()
+def _sample_sums(cf, sample):
+    """The sample means of T and the sample's total of log h: sum_i f_i T(y_i) / N, sum_i f_i log h(y_i)."""
+    values, freqs = np.asarray(sample.values), np.asarray(sample.freqs)
+    return freqs @ cf.T(values) / freqs.sum(), float(freqs @ cf.log_h(values))
 
 
 def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_tol=_GRAD_TOL):
@@ -179,7 +191,7 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
         )
     cf = canonicalize(template, policy)
     cf = replace(cf, eta=canonicalize(_initial_model(cf, sample, policy), policy).eta)
-    t_bar = _sample_stat_mean(cf, sample)
+    t_bar, log_h_total = _sample_sums(cf, sample)
     bounded = np.array([hi == 0.0 for (_, hi) in cf.space])
 
     def to_eta(x):
@@ -246,8 +258,10 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
 
     eta_hat = to_eta(x)
     fitted = cf.model_at(eta_hat)
-    ll = loglik(fitted, sample, policy)
     n_tot = sample.size
+    ## The log-likelihood sum_i f_i log h(y_i) + N (T_bar . eta_hat - A), with
+    ## A from the pass that scored eta_hat: the value Newton maximized.
+    ll = log_h_total + n_tot * val
     k = cf.dim
     info = n_tot * res.cov
     se = None

@@ -23,16 +23,19 @@ PMFs p(n) proportional to w(n) * b(n).
 Each family's formulas are written here once, and the canonical form in
 expfamily, the fitter and the moment surfaces read them: log b(n) is the
 carrier log_carrier (the terms in n alone, the canonical log h) plus
-n * log_rate(lam) less the normalizer (closed_log_norm in closed form, a
-ratio series for SERIES_KINDS), and base_eta / base_from_eta map lam and nu
-to the natural coordinates and back.  Rising factorials come from log_rising.
+n * log_rate(lam) less the normalizer (closed_log_norm in closed form, the
+log mass of a support table for SERIES_KINDS), and base_eta / base_from_eta
+map lam and nu to the natural coordinates and back.  Rising factorials come
+from log_rising.
 
-All series work is done in log space under a SeriesPolicy: normalizers of
-ratio sequences with a geometric tail bound, and every other sum over the
-support (moments, cumulants, sampling tables) under one stop rule,
-support_settled.  support_scan applies it block by block to many laws at
+All series work is done in log space under a SeriesPolicy.  Sums over the
+support (base normalizers, moments, cumulants, sampling tables) share one stop
+rule, support_settled: support_scan applies it block by block to many laws at
 once; support_table, which keeps one law's log weights, applies it in one
-vectorized step over the table's blocks each time the table doubles.
+vectorized step over the table's blocks each time the table doubles.  The
+normalizers of StationaryPMF and WeightedPMF, whose ratio sequences are
+arbitrary callables, are ratio series cut by a geometric tail bound
+(log_ratio_series_sum).
 """
 
 import functools
@@ -420,8 +423,10 @@ SERIES_KINDS = ("hyper_poisson", "cmp")
 
 @functools.lru_cache(maxsize=_NORM_MEMO_SIZE)
 def _log_base_norm(base, policy):
-    """log of the normalizing series for families without a closed-form constant."""
-    return log_ratio_series_sum(base_ratio_sequence(base), policy)
+    """log of the normalizer of a SERIES_KINDS base: the log mass of its support table over log_kernel."""
+    _, log_w = support_table(lambda ns: log_kernel(base.kind, base.lam, ns, base.r, base.tau, base.nu), policy)
+    top = log_w.max()
+    return float(top + math.log(np.exp(log_w - top).sum()))
 
 
 ## Spacing of the math.lgamma anchors in a log_gamma table.
@@ -486,9 +491,33 @@ def log_gamma(x, ns):
         return slot[0][idx]
 
 
+## Least x at which log_rising sums log1p(k / x) instead of differencing log-gammas.
+_RISING_DIRECT_X = 1e3
+
+
 def log_rising(x, ns):
-    """log of the rising factorial (x)_n = Gamma(x + n) / Gamma(x), for real x > 0 and integers n >= 0."""
-    return log_gamma(x, ns) - math.lgamma(x)
+    """log of the rising factorial (x)_n = Gamma(x + n) / Gamma(x), for real x > 0 and integers n >= 0.
+
+    Below _RISING_DIRECT_X it is log_gamma(x, n) - lgamma(x), whose rounding of
+    about eps x log x swamps a negative binomial's log kernel at large r, once
+    n log r cancels there.  From _RISING_DIRECT_X on it is n log x + sum_{k<n}
+    log1p(k / x), summed within blocks of _LGAMMA_ANCHOR and then over block
+    totals; n past _LGAMMA_TABLE_MAX, where the terms in n dominate, keep the
+    difference.
+    """
+    if x < _RISING_DIRECT_X:
+        return log_gamma(x, ns) - math.lgamma(x)
+    idx = np.asarray(ns).astype(np.intp, copy=False)
+    near = np.minimum(idx, _LGAMMA_TABLE_MAX)
+    rows = int(near.max(initial=0)) // _LGAMMA_ANCHOR + 1
+    steps = np.log1p(np.arange(rows * _LGAMMA_ANCHOR) / x).reshape(rows, _LGAMMA_ANCHOR)
+    np.add.accumulate(steps, axis=1, out=steps)
+    steps[1:] += np.cumsum(steps[:-1, -1])[:, None]
+    out = idx * math.log(x) + np.concatenate(([0.0], steps.ravel()))[near]
+    far = idx > _LGAMMA_TABLE_MAX
+    if far.any():
+        out = np.where(far, log_gamma(x, np.where(far, idx, 0)) - math.lgamma(x), out)
+    return float(out) if np.ndim(ns) == 0 else out
 
 
 def log_rising_slope(x, ns):
@@ -543,14 +572,19 @@ def closed_log_norm(kind, lam, r=None):
 
 
 def log_norm(base, policy=DEFAULT_POLICY):
-    """log of the normalizer of base: closed_log_norm, or the ratio series of SERIES_KINDS."""
+    """log of the normalizer of base: closed_log_norm, or for SERIES_KINDS the log mass of
+    the base's support table, cut by support_settled and memoized per (base, policy)."""
     return _log_base_norm(base, policy) if base.kind in SERIES_KINDS else closed_log_norm(base.kind, base.lam, base.r)
 
 
 def log_rate(lam, r=None):
-    """eta_0 = log(lam / r), r = 1 but for the negative binomial: math.log of a float, np.log of an array."""
+    """eta_0 = log(lam / r), r = 1 but for the negative binomial; lam may be an array.
+
+    np.log for floats too: math.log can differ from it by an ulp, and a surface
+    node (an array of lam) must give the eta_0 of a single-lam call.
+    """
     x = lam / (r or 1.0)
-    return math.log(x) if np.ndim(x) == 0 else np.log(x)
+    return float(np.log(x)) if np.ndim(x) == 0 else np.log(x)
 
 
 def base_eta(base):

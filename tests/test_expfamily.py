@@ -236,10 +236,11 @@ def test_support_pass_log_mass_is_A_and_its_mean_the_gradient(base, family):
 
 def test_support_pass_builds_the_statistic_once(monkeypatch):
     ## The pass keeps T of each table block for its mean and covariance, so T
-    ## runs once per log-weight call and never again over the whole table.
+    ## (as stat_rows, on the table's own range) runs once per log-weight call
+    ## and never again over the whole table.
     cf = canonicalize(_perturbed(BaseDistribution(kind="negative_binomial", lam=0.686, r=0.7), "type2"))
     calls = {"T": 0, "log_w": 0}
-    stat, table = CanonicalForm.T, expfamily.support_table
+    stat, table = CanonicalForm.stat_rows, expfamily.support_table
 
     def counted_stat(self, n):
         calls["T"] += 1
@@ -252,7 +253,7 @@ def test_support_pass_builds_the_statistic_once(monkeypatch):
 
         return table(counted, *args)
 
-    monkeypatch.setattr(CanonicalForm, "T", counted_stat)
+    monkeypatch.setattr(CanonicalForm, "stat_rows", counted_stat)
     monkeypatch.setattr(expfamily, "support_table", counted_table)
     expfamily._memo_pass.cache_clear()
     support_pass(cf)

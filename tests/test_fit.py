@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from bdcount import (
@@ -506,10 +508,21 @@ def test_fit_makes_one_support_pass_per_newton_point(monkeypatch):
     log, points = [], []
     _spy(monkeypatch, log, "pass", expfamily, "support_table")
     _spy(monkeypatch, log, "series", stationary, "log_ratio_series_sum")
-    _spy(monkeypatch, log, "series", stationary, "_log_base_norm")
     _spy(monkeypatch, log, "z", models, "infdef_log_z")
     _spy(monkeypatch, log, "A", expfamily.CanonicalForm, "A")
-    real_pass = fit_module.support_pass
+    _spy(monkeypatch, log, "loglik", fit_module, "loglik")
+    real_pass, real_norm = fit_module.support_pass, stationary._log_base_norm
+
+    def norm(*args):
+        ## a base normalizer is summed on a support table of its own: tag it
+        ## apart from the Newton passes
+        log.append("norm")
+        start = len(log)
+        out = real_norm(*args)
+        log[start:] = ["norm table" if tag == "pass" else tag for tag in log[start:]]
+        return out
+
+    monkeypatch.setattr(stationary, "_log_base_norm", norm)
 
     def recorded(cf, eta=None):
         points.append(np.asarray(eta).tobytes())
@@ -531,6 +544,8 @@ def test_fit_makes_one_support_pass_per_newton_point(monkeypatch):
     first, last = log.index("pass"), len(log) - 1 - log[::-1].index("pass")
     assert set(log[first : last + 1]) == {"pass"}
     assert fit.standard_errors is not None
+    ## the normalizers come from tables, and the loglik from the last pass
+    assert "norm table" in log and "series" not in log and "loglik" not in log
 
 
 def test_profile_score_reuses_the_last_pass_of_each_fit(monkeypatch):
@@ -581,3 +596,40 @@ def test_cli_fit_of_the_stall_table_exits_0(tmp_path):
     data.write_text("value,count\n" + "".join(f"{v},{c}\n" for v, c in _STALL_TABLE.items()))
     argv = ["fit", "--kind", "cmp", "--nu", "1", "--family", "type1", "--points", "0,3", "--data", str(data)]
     assert cli.main(argv + ["--out", str(tmp_path / "fit.json")]) == 0
+
+
+@settings(max_examples=30)
+@given(
+    kind=st.sampled_from(["geometric", "poisson", "negative_binomial", "hyper_poisson", "cmp"]),
+    u=st.floats(0.05, 0.9),
+    shape=st.floats(0.5, 2.0),
+    family=st.sampled_from([None, "type1", "type2"]),
+    point=st.integers(0, 4),
+    factor=st.floats(0.3, 3.0),
+    size=st.integers(300, 5000),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_loglik_is_loglik_of_the_fitted_model(kind, u, shape, family, point, factor, size, seed):
+    ## fit_mle reads its loglik off the last pass; loglik sums the fitted law's own logpmf.
+    base = {
+        "geometric": lambda: BaseDistribution(kind=kind, lam=u),
+        "poisson": lambda: BaseDistribution(kind=kind, lam=8.0 * u),
+        "negative_binomial": lambda: BaseDistribution(kind=kind, lam=4.0 * shape * u, r=4.0 * shape),
+        "hyper_poisson": lambda: BaseDistribution(kind=kind, lam=8.0 * u, tau=shape),
+        "cmp": lambda: BaseDistribution(kind=kind, lam=4.0 * u, nu=shape),
+    }[kind]()
+    model = base if family is None else InfDefDistribution(base, InflationSpec(family, (point,), (factor,)))
+    s = CountSample.from_counts(sample_counts(model, size, seed))
+    if len(s.values) < 2 or (family == "type1" and point not in s.values):
+        return  # a degenerate sample, or a type 1 MLE at eta = -inf
+    fit = fit_mle(model, s)
+    want = loglik(fit.model, s)
+    assert abs(fit.loglik - want) <= 1e-10 * abs(want)
+
+
+def test_hyper_poisson_fit_starts_from_its_mean_identity():
+    ## lam_0 = m + (tau - 1)(1 - p0) misses the MLE only through the mismatch in P(N = 0).
+    true = BaseDistribution(kind="hyper_poisson", lam=5.0, tau=3.0)
+    s = CountSample.from_counts(sample_counts(true, 10_000, 42))
+    fit = fit_mle(true, s)
+    assert fit.converged and fit.iterations <= 3

@@ -392,3 +392,14 @@ def test_mixture_type1_roundtrip(base, variant, second, u, shares, pi, psi):
         assert abs(back.psi - mix.psi) <= 1e-12 * max(1.0, abs(mix.psi))
     else:
         assert np.all(np.abs(np.asarray(back.omegas) - mix.omegas) <= 1e-12 * np.maximum(1.0, np.abs(mix.omegas)))
+
+
+def test_point_mass_mixture_roundtrip_at_the_default_policy():
+    ## rest = 1 - sum(omegas) is about 5.9e3 here, and it multiplies the error of the
+    ## base's unit mass, so the map comes back at the default rel_tol only when the
+    ## series normalizer is summed to rounding.
+    base = BaseDistribution("hyper_poisson", lam=0.057, tau=4.69)
+    mix = _point_mass_mixture(base, "multiple_inflation", (0, 1), 0.7152, (0.5, 0.5), SeriesPolicy())
+    assert np.allclose(mix.omegas, (-5824.0, -70.6), rtol=2e-3)
+    back = MixtureModel.from_type1(mix.as_type1(), "multiple_inflation")
+    assert np.all(np.abs(np.asarray(back.omegas) - mix.omegas) <= 1e-10 * np.abs(mix.omegas))

@@ -21,6 +21,7 @@ from bdcount import (
     moments_direct,
 )
 from bdcount.moments import dispersion_index_at
+from bdcount.stationary import log_rate
 from conftest import EF_KINDS, random_base, random_spec
 
 
@@ -247,6 +248,9 @@ def test_surface_node_equals_single_lambda_call(kind, family, q, u, phi):
     node = dispersion_surface(kind, q, [0.5 * lam, lam], [1.0, phi], family=family, **shape)[1, 1]
     single = dispersion_index_at(kind, q, lam, phi, family=family, **shape)
     assert abs(node - single) <= 1e-12 * abs(single)
+    ## eta_0 of a node (an array of lam) is that of a single lam, bit for bit
+    r = shape.get("r")
+    assert log_rate(np.array([0.5 * lam, lam]), r)[1] == log_rate(lam, r)
 
 
 def test_contour_poisson_reference():

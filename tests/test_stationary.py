@@ -31,8 +31,12 @@ from bdcount.stationary import (
     _LGAMMA_MEMO_SIZE,
     _LGAMMA_TABLE_MAX,
     SUPPORT_BLOCK,
+    _RISING_DIRECT_X,
     _lgamma_slot,
     log_gamma,
+    log_norm,
+    log_rate,
+    log_rising,
     log_rising_slope,
     support_floor,
     support_scan,
@@ -395,3 +399,57 @@ def test_log_rising_slope_matches_digamma(x):
     assert np.max(np.abs(got[1:300] - exact[1:]) / exact[1:]) <= 1e-14
     ref = digamma(x + far) - digamma(x)
     assert np.max(np.abs(got[300:] - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        BaseDistribution(kind="hyper_poisson", lam=3.0, tau=1.7),
+        BaseDistribution(kind="cmp", lam=3.0, nu=1.1),
+        BaseDistribution(kind="cmp", lam=30.0, nu=0.5),
+        BaseDistribution(kind="hyper_poisson", lam=50.0, tau=0.3),
+        BaseDistribution(kind="cmp", lam=0.05, nu=2.0),
+    ],
+    ids=lambda b: f"{b.kind}-{b.lam}",
+)
+def test_series_normalizer_matches_a_long_exact_sum(base):
+    ## The support table's log mass against 20000 terms, each from math.lgamma, summed by fsum.
+    shape = base.tau if base.kind == "hyper_poisson" else base.nu
+    terms = [
+        n * math.log(base.lam)
+        - (math.lgamma(shape + n) - math.lgamma(shape) if base.kind == "hyper_poisson" else shape * math.lgamma(n + 1.0))
+        for n in range(20_000)
+    ]
+    top = max(terms)
+    ref = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    assert abs(log_norm(base) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("r", [1e4, 1e8, 1e12])
+def test_negative_binomial_logpmf_keeps_digits_at_large_r(r):
+    ## log (r)_n - n log r cancels in the log kernel; log_rising sums log1p(k / r) instead.
+    n, lam = 5, 2.0
+    ref = math.fsum(
+        [math.log1p(k / r) for k in range(n)] + [n * math.log(lam), -math.lgamma(n + 1.0), r * math.log1p(-lam / r)]
+    )
+    assert abs(base_logpmf(BaseDistribution(kind="negative_binomial", lam=lam, r=r), n) - ref) <= 1e-13 * abs(ref)
+
+
+def test_log_rising_switches_form_at_its_threshold():
+    ns = np.array([0, 5, 300, 60_000, 70_000, 10**9])
+    below = np.nextafter(_RISING_DIRECT_X, 0.0)
+    assert np.array_equal(log_rising(below, ns), log_gamma(below, ns) - math.lgamma(below))
+    for x in (_RISING_DIRECT_X, 1e6):
+        got = log_rising(x, ns)
+        ## near n against an exact sum; n past the table keep the log-gamma difference
+        ref = [n * math.log(x) + math.fsum(math.log1p(k / x) for k in range(n)) for n in ns[:4].tolist()]
+        assert np.all(np.abs(got[:4] - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+        assert np.array_equal(got[4:], log_gamma(x, ns[4:]) - math.lgamma(x))
+        assert log_rising(x, 5) == got[1]
+
+
+def test_log_rate_of_a_float_is_that_of_an_array():
+    ## math.log and np.log differ by an ulp on a few inputs in 1e4; log_rate uses np.log for both.
+    lams = np.random.default_rng(5).uniform(1e-3, 50.0, 20_000)
+    assert np.array_equal(log_rate(lams), [log_rate(float(lam)) for lam in lams])
+    assert np.array_equal(log_rate(lams, 3.0), [log_rate(float(lam), 3.0) for lam in lams])
