@@ -195,7 +195,12 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
     bounded = np.array([hi == 0.0 for (_, hi) in cf.space])
 
     def to_eta(x):
-        return np.where(bounded, -np.exp(x), x)
+        ## A trial step can send a log coordinate past exp's range; its eta is
+        ## then -inf, a point the line search rejects.
+        eta = x.copy()
+        with np.errstate(over="ignore"):
+            eta[bounded] = -np.exp(x[bounded])
+        return eta
 
     def to_x(eta):
         return np.where(bounded, np.log(-np.minimum(eta, -1e-300)), eta)

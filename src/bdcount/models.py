@@ -189,6 +189,7 @@ class InfDefDistribution:
             eval=lambda n: modified_ratio(self, n),
             limit_hint=hint,
             probe_start=max(self.spec.points) + 1,
+            vectorized=True,
         )
 
     def to_document(self):

@@ -9,9 +9,15 @@ occupancy over the sampling window.  The result carries up/down transition
 counts per level (detailed balance makes their rates match at stationarity)
 and enough metadata to reproduce the run exactly.
 
+The event loop works a chunk of draws at a time: Python decides the jumps,
+and numpy computes the jump times, occupancy, crossing counts and snapshots
+of the whole chunk, adding in path order so that every value equals that of
+a per-event loop.
+
 A guard aborts trajectories that wander past ten times the analytic
-mean + 12 sd bound, which catches rate sequences without a stationary law
-early instead of looping forever.
+mean + 12 sd bound, read from the support table of the stationary law, which
+catches rate sequences without a stationary law early instead of looping
+forever.
 """
 
 import math
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StateExplosionError
-from .stationary import DEFAULT_POLICY, StationaryPMF, support_floor, support_table
+from .stationary import DEFAULT_POLICY, StationaryPMF
 
 _RNG_ALGORITHM = "numpy.random.default_rng/PCG64, chunked"
 _CHUNK = 4096  # holding times and jump coins drawn per numpy call
@@ -97,23 +103,40 @@ def _ratio_of(rates):
     return RatioSequence(eval=lambda n: rates.birth(n) / rates.death(n + 1))
 
 
+def _grid(first, step, stop):
+    """first, first + step, ... summed one by one, up to the first value >= stop."""
+    out = np.cumsum(np.concatenate(([first], np.full(int((stop - first) / step) + 1, step))))
+    cut = int(np.searchsorted(out, stop))
+    if cut == len(out):
+        return np.concatenate([out[:-1], _grid(float(out[-1]), step, stop)])
+    return out[: cut + 1]
+
+
 def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
     """Simulate the chain and return time-weighted occupancy after burn-in.
 
     The default burn-in is 50 units of the slowest low-level rate,
     50 / min(mu_1, gamma_0).  max_state overrides the guard bound (ten times
-    the analytic mean + 12 sd range) and exists mainly to exercise the guard.
-    Rates are evaluated once per level, when the path first reaches it
-    (levels 0 and 1 up front); levels the path never reaches are not
+    the analytic mean + 12 sd range, read from the support table of the
+    stationary law) and exists mainly to exercise the guard.  Rates are
+    evaluated once per level, when the path first reaches it before the
+    horizon (levels 0 and 1 up front); levels the path never reaches are not
     evaluated, so a bad rate there raises nothing.
+
+    Draws come in chunks of _CHUNK holding times and jump coins.  A Python
+    loop decides each jump of a chunk from the coins alone; the jump times,
+    occupancy, crossing counts and snapshots then come from numpy calls that
+    add in the order of the path, so every value equals that of a per-event
+    loop.  The jump times so far are computed whenever the path is about to
+    reach an untabulated level (or pass max_state), so nothing past the
+    horizon is evaluated or raised.
     """
     ratio = _ratio_of(rates)
     target = StationaryPMF(ratio, policy)
-    ns, log_p = support_table(target.logpmf, policy, support_floor(ratio))
-    p = np.exp(log_p)
-    mean = float(p @ ns)
-    sd = math.sqrt(max(float(p @ (ns - mean) ** 2), 0.0))
     if max_state is None:
+        p, ns = np.exp(target.log_p), target.ns
+        mean = float(p @ ns)
+        sd = math.sqrt(max(float(p @ (ns - mean) ** 2), 0.0))
         max_state = max(int(math.ceil(10.0 * (mean + 12.0 * sd))), 16)
 
     up_rate, total_rate = [], []
@@ -133,49 +156,72 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
     if burn_in is None:
         burn_in = 50.0 / min(mu_1, up_rate[0])
     horizon = burn_in + config.sample_time
+    thin = config.thinning_interval
 
     rng = np.random.default_rng(config.seed)
-    occupancy = [0.0] * (max_state + 1)
-    ups, downs = [0] * (max_state + 1), [0] * (max_state + 1)
+    occupancy = np.zeros(max_state + 1)
+    crossings = np.zeros(2 * (max_state + 1), dtype=np.int64)  # 2n: down from n, 2n + 1: up from n
     trace = []
     next_snap = burn_in
     t, x = 0.0, 0
-    i = _CHUNK  # draw a chunk at the first event
-    while True:
-        if i == _CHUNK:
-            holds = rng.standard_exponential(_CHUNK).tolist()
-            coins = rng.random(_CHUNK).tolist()
-            i = 0
-        total = total_rate[x]
-        t_next = t + holds[i] / total
-        t_end = t_next if t_next < horizon else horizon
-        while next_snap < t_end:
-            trace.append(x)
-            next_snap += config.thinning_interval
-        lo = t if t > burn_in else burn_in
-        if t_end > lo:
-            occupancy[x] += t_end - lo
-        t = t_next
-        if t >= horizon:
-            break
-        if coins[i] * total < up_rate[x]:
-            if x == max_state:
-                raise StateExplosionError(
-                    f"trajectory reached state {x + 1} past the guard bound {max_state} "
-                    f"at time {t:.3f}; the rates may admit no stationary law"
-                )
-            if t >= burn_in:
-                ups[x] += 1
-            x += 1
-            if x == len(up_rate):
-                tabulate(x)
-        else:
-            if t >= burn_in:
-                downs[x] += 1
-            x -= 1
-        i += 1
 
-    ups, downs = np.array(ups, dtype=float), np.array(downs, dtype=float)
+    def levels(rose):
+        """Level held at each step of the chunk, and after its last jump: x plus the running sum of +-1."""
+        return np.concatenate(([x], x + np.cumsum(2 * np.frombuffer(bytes(rose), np.int8) - 1)))
+
+    def times(held):
+        """Start time of each step held at the given levels, and the end of the last: t plus the running sum of holds."""
+        return np.cumsum(np.concatenate(([t], holds[: len(held)] / np.array(total_rate)[held])))
+
+    while True:
+        holds = rng.standard_exponential(_CHUNK)
+        coins = rng.random(_CHUNK).tolist()
+        ## Coin i decides the jump that ends step i of the chunk: rose[i] is 1
+        ## for an up-jump, 0 for a down-jump; y is the level after it.  An
+        ## up-jump from level known needs a rate table entry or the guard.
+        rose = bytearray()
+        push, up, total, known, y = rose.append, up_rate, total_rate, min(len(up_rate) - 1, max_state), x
+        for c in coins:
+            if c * total[y] < up[y]:
+                if y == known:
+                    t_jump = float(times(levels(rose))[-1])
+                    if t_jump >= horizon:
+                        break
+                    if y == max_state:
+                        raise StateExplosionError(
+                            f"trajectory reached state {y + 1} past the guard bound {max_state} "
+                            f"at time {t_jump:.3f}; the rates may admit no stationary law"
+                        )
+                    tabulate(y + 1)
+                    known += 1
+                y += 1
+                push(1)
+            else:
+                y -= 1
+                push(0)
+        path = levels(rose)
+        ## A chunk cut short ends with a step whose jump was not decided.
+        steps = min(len(path), _CHUNK)
+        when = times(path[:steps])
+        ## The step in which the horizon falls is the last; its jump is not made.
+        last = int(np.searchsorted(when[1:], horizon))
+        done = last < steps
+        n = last + 1 if done else steps
+        held, lo, end = path[:n], np.maximum(when[:n], burn_in), np.minimum(when[1 : n + 1], horizon)
+        inside = end > lo
+        np.add.at(occupancy, held[inside], (end - lo)[inside])
+        jumps = n - done
+        moves = 2 * held[:jumps] + (path[1 : jumps + 1] > held[:jumps])
+        crossings += np.bincount(moves[when[1 : jumps + 1] >= burn_in], minlength=len(crossings))
+        if next_snap < end[-1]:
+            snaps = _grid(next_snap, thin, end[-1])
+            trace.extend(held[np.searchsorted(end, snaps[:-1], side="right")].tolist())
+            next_snap = float(snaps[-1])
+        if done:
+            break
+        t, x = float(when[-1]), y
+
+    downs, ups = crossings[0::2].astype(float), crossings[1::2].astype(float)
     events = int(ups.sum() + downs.sum())
     ## up n -> n+1 and down n+1 -> n alternate along a path, so this is <= 1 / events
     residual = float(np.max(np.abs(ups[:-1] - downs[1:]), initial=0.0)) / max(events, 1)
@@ -183,7 +229,7 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
         "seed": int(config.seed),
         "burn_in_time": float(burn_in),
         "sample_time": float(config.sample_time),
-        "thinning_interval": float(config.thinning_interval),
+        "thinning_interval": float(thin),
         "scheme": rates.scheme,
         "rng": _RNG_ALGORITHM,
         "max_state": int(max_state),
@@ -192,7 +238,7 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
     }
     return SimResult(
         states=np.arange(max_state + 1),
-        weights=np.array(occupancy),
+        weights=occupancy,
         up_crossings=ups,
         down_crossings=downs,
         trace=np.asarray(trace, dtype=int),

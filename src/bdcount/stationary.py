@@ -33,14 +33,14 @@ support (base normalizers, moments, cumulants, sampling tables) share one stop
 rule, support_settled: support_scan applies it block by block to many laws at
 once; support_table, which keeps one law's log weights, applies it in one
 vectorized step over the table's blocks each time the table doubles.  The
-normalizers of StationaryPMF and WeightedPMF, whose ratio sequences are
-arbitrary callables, are ratio series cut by a geometric tail bound
-(log_ratio_series_sum).
+normalizers of StationaryPMF and WeightedPMF, and log_ratio_series_sum, are
+the log mass of a support table too: its log weights are the running sum of
+the log ratios, evaluated a block at a time (one call per block for a
+vectorized RatioSequence, one per n otherwise) and probed for divergence.
 """
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,16 +87,20 @@ DEFAULT_POLICY = SeriesPolicy()
 class RatioSequence:
     """Ratio sequence n -> lambda_n = gamma_n / mu_{n+1} of a birth-death process.
 
-    eval maps a non-negative integer to a positive real.  limit_hint, when
-    known, is the limit of the sequence and sharpens both the tail bound and
-    divergence detection.  probe_start is the first index at which divergence
-    probing and early stopping are allowed; sequences whose first few ratios
-    are perturbed (inflated or deflated) should set it past the perturbation.
+    eval maps a non-negative integer to a positive real; when vectorized is
+    true it also maps an integer array to the ratios elementwise, and a table
+    evaluates each new block of n in one call instead of once per n.
+    limit_hint, when known, is the limit of the sequence: a hint >= 1 marks the
+    series divergent before any ratio is evaluated.  probe_start is the first
+    index at which divergence probing is allowed and the least top of the
+    support table; sequences whose first few ratios are perturbed (inflated or
+    deflated) should set it past the perturbation.
     """
 
     eval: callable
     limit_hint: float | None = None
     probe_start: int = 0
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.limit_hint is not None and not math.isfinite(self.limit_hint):
@@ -105,57 +109,101 @@ class RatioSequence:
             raise DomainError(f"probe_start must be non-negative, got {self.probe_start}")
 
 
-def _ratio_at(ratio, n):
-    lam = float(ratio.eval(n))
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"ratio at index {n} must be a positive finite real, got {lam}")
-    return lam
+def _log_ratios(ratio, ns):
+    """log lambda_n over the integer array ns: one eval call if the sequence is vectorized, else one per n."""
+    if ratio.vectorized:
+        lam = np.asarray(ratio.eval(ns), dtype=float)
+    else:
+        lam = np.array([float(ratio.eval(n)) for n in ns.tolist()])
+    bad = ~((lam > 0.0) & np.isfinite(lam))
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"ratio at index {ns[i]} must be a positive finite real, got {lam[i]}")
+    return np.log(lam)
+
+
+class _LogPrefix:
+    """log(lambda_0 * ... * lambda_{n-1}) over n = 0, 1, ..., grown block by block.
+
+    log_ratios maps an integer array of n to log lambda_n.  Called on an
+    integer array ns, the table grows to cover ns.max() with one call for the
+    new block, then returns its values at ns; the values are the running sum
+    of the log ratios in order, as a per-term loop would add them.  Each new
+    block is probed for divergence: from probe_start on, 64 consecutive ratios
+    >= 1 whose last is no smaller than its first end the series.
+    """
+
+    def __init__(self, log_ratios, probe_start=0):
+        self._log_ratios = log_ratios
+        self._probe_start = probe_start
+        self.log_lam = np.empty(0)
+        self.values = np.zeros(1)
+
+    def __call__(self, ns):
+        top = int(ns.max())
+        if top >= len(self.values):
+            lo = len(self.log_lam)
+            new = self._log_ratios(np.arange(lo, top))
+            self.log_lam = np.concatenate([self.log_lam, new])
+            self._probe(lo)
+            self.values = np.concatenate([self.values, np.cumsum(np.concatenate(([self.values[-1]], new)))[1:]])
+        return self.values[ns]
+
+    def _probe(self, lo):
+        start = max(self._probe_start, lo - _PROBE_WINDOW + 1)
+        seg = self.log_lam[start:]
+        if len(seg) < _PROBE_WINDOW:
+            return
+        below = np.concatenate(([0], np.cumsum(seg < 0.0)))
+        ## windows seg[j - 63 : j + 1]: no ratio below 1, the last >= the first
+        flat = below[_PROBE_WINDOW:] == below[:-_PROBE_WINDOW]
+        rising = seg[_PROBE_WINDOW - 1 :] >= seg[: len(seg) - _PROBE_WINDOW + 1]
+        hit = flat & rising
+        if hit.any():
+            end = start + _PROBE_WINDOW - 1 + int(hit.argmax())
+            raise DivergenceError(
+                f"ratios stayed >= 1 over {_PROBE_WINDOW} consecutive indices ending at {end}; "
+                "the stationary series diverges"
+            )
+
+    def settle(self, policy, min_top=0):
+        """support_table over the prefix: (ns, log prefix) of [0, top), and the log of the whole series.
+
+        support_settled cuts where the last block holds < rel_tol of the mass;
+        past it lies about that share / (SUPPORT_BLOCK (1 - lambda)), ~1.5e-9
+        of the mass at a ratio limit of 0.999.  The log of the series is the
+        table's log mass plus that tail, taken as the geometric series of the
+        last ratio in the table.  A table that does not settle within
+        policy.max_terms raises DivergenceError when its last ratio is >= 1,
+        else SeriesCapError.
+        """
+        try:
+            ns, log_w = support_table(self, policy, min_top)
+        except SeriesCapError:
+            lam = math.exp(self.log_lam[-1])
+            if lam >= 1.0:
+                raise DivergenceError(
+                    f"series still growing after {policy.max_terms} terms (last ratio {lam}); "
+                    "treating it as divergent"
+                ) from None
+            raise SeriesCapError(
+                f"series did not meet rel_tol={policy.rel_tol} within max_terms={policy.max_terms}"
+            ) from None
+        log_lam = self.log_lam[len(log_w) - 2]  # w(top - 1) / w(top - 2)
+        log_tail = log_w[-1] + log_lam - math.log(-math.expm1(log_lam)) if log_lam < 0.0 else -math.inf
+        return ns, log_w, float(np.logaddexp(_log_mass(log_w), log_tail))
 
 
 def log_ratio_series_sum(ratio, policy=DEFAULT_POLICY):
     """log of z = 1 + sum_{i>=0} lambda_0*...*lambda_i for a ratio sequence.
 
-    Stops once a geometric bound on the remaining tail drops below
-    policy.rel_tol of the running sum.  Raises DivergenceError when the
-    ratios stay at or above 1 over a whole probe window without decreasing
-    (the series then cannot converge), and SeriesCapError when max_terms is
-    exhausted while the ratios still look convergent.
+    The log_z of StationaryPMF: the log mass of the sequence's support table,
+    cut by support_settled, with its geometric tail.  Raises DivergenceError
+    when limit_hint >= 1 or the ratios stay at or above 1 over a whole probe
+    window, and SeriesCapError when max_terms is exhausted while the ratios
+    still look convergent.
     """
-    if ratio.limit_hint is not None and ratio.limit_hint >= 1.0:
-        raise DivergenceError(
-            f"ratio sequence tends to {ratio.limit_hint} >= 1; the stationary series diverges"
-        )
-    log_tol = math.log(policy.rel_tol)
-    log_sum = 0.0  # log of the partial sum, seeded with the leading 1
-    log_term = 0.0  # log of lambda_0*...*lambda_{i-1}
-    window = deque(maxlen=_PROBE_WINDOW)
-    lam = 1.0
-    for i in range(policy.max_terms):
-        lam = _ratio_at(ratio, i)
-        log_term += math.log(lam)
-        log_sum = np.logaddexp(log_sum, log_term)
-        if i < ratio.probe_start:
-            continue
-        window.append(lam)
-        if len(window) == _PROBE_WINDOW and min(window) >= 1.0 and window[-1] >= window[0]:
-            raise DivergenceError(
-                f"ratios stayed >= 1 over {_PROBE_WINDOW} consecutive indices ending at {i}; "
-                "the stationary series diverges"
-            )
-        rho = lam if ratio.limit_hint is None else max(lam, ratio.limit_hint)
-        if rho < 1.0:
-            ## Remaining tail <= current term * rho / (1 - rho).
-            log_tail = log_term + math.log(rho) - math.log1p(-rho)
-            if log_tail < log_tol + log_sum:
-                return float(log_sum)
-    if lam >= 1.0:
-        raise DivergenceError(
-            f"series still growing after {policy.max_terms} terms (last ratio {lam}); "
-            "treating it as divergent"
-        )
-    raise SeriesCapError(
-        f"series did not meet rel_tol={policy.rel_tol} within max_terms={policy.max_terms}"
-    )
+    return StationaryPMF(ratio, policy).log_z
 
 
 def as_support(n):
@@ -289,37 +337,45 @@ def support_table(log_w, policy, min_top=0):
     raise SeriesCapError(f"support scan did not settle within max_terms={policy.max_terms}")
 
 
+def _log_mass(log_w):
+    """log of sum(exp(log_w)), shifted by the largest entry."""
+    top = log_w.max()
+    return float(top + math.log(np.exp(log_w - top).sum()))
+
+
 def support_floor(model):
     """Least top of a support table for model: one past every perturbed point.
 
-    Reads the probe_start of a ratio sequence, the spec points of a perturbed
-    law, or the points of a mixture or canonical form; a base law gives 0.
-    Without it a scan can stop in a zero-mass gap below a far point.
+    Reads the spec points of a perturbed law, or the points of a mixture or
+    canonical form; a base law gives 0.  Without it a scan can stop in a
+    zero-mass gap below a far point.
     """
-    if isinstance(model, RatioSequence):
-        return model.probe_start
     points = model.spec.points if hasattr(model, "spec") else getattr(model, "points", ())
     return max(points, default=-1) + 1
 
 
 class StationaryPMF:
-    """Stationary law built from a ratio sequence, evaluated lazily in log space."""
+    """Stationary law built from a ratio sequence, in log space.
+
+    Its log prefix log(lambda_0 * ... * lambda_{n-1}) is one table, grown a
+    block of ratios at a time (see _LogPrefix).  support_table cuts it at the
+    first boundary past probe_start where support_settled holds; ns and log_p
+    are the cut table [0, top) and its log PMF, and log_z is its log mass with
+    the geometric tail past top.  logpmf past the table extends the prefix.
+    """
 
     def __init__(self, ratio, policy=DEFAULT_POLICY):
+        if ratio.limit_hint is not None and ratio.limit_hint >= 1.0:
+            raise DivergenceError(f"ratio sequence tends to {ratio.limit_hint} >= 1; the stationary series diverges")
         self.ratio = ratio
         self.policy = policy
-        self.log_z = log_ratio_series_sum(ratio, policy)
-        self._log_prefix = [0.0]  # log lambda_0*...*lambda_{n-1}, indexed by n
-
-    def _extend(self, n):
-        pre = self._log_prefix
-        while len(pre) <= n:
-            pre.append(pre[-1] + math.log(_ratio_at(self.ratio, len(pre) - 1)))
+        self._log_prefix = _LogPrefix(functools.partial(_log_ratios, ratio), ratio.probe_start)
+        self.ns, log_w, self.log_z = self._log_prefix.settle(policy, ratio.probe_start)
+        self.log_p = log_w - self.log_z
 
     def logpmf(self, n, policy=None):
         ns = as_support(n)
-        self._extend(int(ns.max()))
-        out = np.asarray(self._log_prefix)[ns] - self.log_z
+        out = self._log_prefix(ns) - self.log_z
         return float(out) if np.ndim(n) == 0 else out
 
     def pmf(self, n):
@@ -410,7 +466,7 @@ def base_ratio(base, n):
 def base_ratio_sequence(base):
     """Base-family ratios packaged with their limit lam / lam_upper for series control."""
     hint = base.lam / lam_upper(base.kind, base.r)
-    return RatioSequence(eval=lambda n: base_ratio(base, n), limit_hint=hint)
+    return RatioSequence(eval=lambda n: base_ratio(base, n), limit_hint=hint, vectorized=True)
 
 
 ## Entries kept by the normalizer memo; a fit re-evaluates only its latest
@@ -425,8 +481,7 @@ SERIES_KINDS = ("hyper_poisson", "cmp")
 def _log_base_norm(base, policy):
     """log of the normalizer of a SERIES_KINDS base: the log mass of its support table over log_kernel."""
     _, log_w = support_table(lambda ns: log_kernel(base.kind, base.lam, ns, base.r, base.tau, base.nu), policy)
-    top = log_w.max()
-    return float(top + math.log(np.exp(log_w - top).sum()))
+    return _log_mass(log_w)
 
 
 ## Spacing of the math.lgamma anchors in a log_gamma table.
@@ -705,20 +760,29 @@ def catalogue_weight(name, against="poisson", **params):
 
 
 class WeightedPMF:
-    """Law p(n) proportional to w(n) * b(n), normalized by series summation."""
+    """Law p(n) proportional to w(n) * b(n), normalized on a ratio table.
+
+    Its ratios g(n) * lambda_n are taken in log space, log g(n) + log lambda_n,
+    so a steep damping weight does not underflow them; their log prefix is
+    the table of StationaryPMF, with the same divergence probe and stop rule.
+    """
 
     def __init__(self, base, weight, policy=DEFAULT_POLICY):
         self.base = base
         self.weight = weight
         self.policy = policy
 
-        def term_ratio(n, base=base, weight=weight):
-            return math.exp(weight.log_g(n)) * base_ratio(base, n)
+        def log_ratios(ns):
+            out = weight.log_g(ns) + np.log(base_ratio(base, ns))
+            bad = ~np.isfinite(out)
+            if bad.any():
+                raise DomainError(f"log ratio at index {ns[bad.argmax()]} must be finite, got {out[bad.argmax()]}")
+            return out
 
-        ## z / (w(0) b(0)) summed as a ratio series, then shifted back.
+        ## z / (w(0) b(0)) is the log mass of the ratio table, then shifted back.
         log_first = float(weight.log_eval(0)) + base_logpmf(base, 0, policy)
-        ratio = RatioSequence(eval=term_ratio, limit_hint=None)
-        self.log_norm = log_first + log_ratio_series_sum(ratio, policy)
+        _, _, log_mass = _LogPrefix(log_ratios).settle(policy)
+        self.log_norm = log_first + log_mass
 
     def logpmf(self, n, policy=None):
         ns = as_support(n)

@@ -633,3 +633,31 @@ def test_hyper_poisson_fit_starts_from_its_mean_identity():
     s = CountSample.from_counts(sample_counts(true, 10_000, 42))
     fit = fit_mle(true, s)
     assert fit.converged and fit.iterations <= 3
+
+
+def test_trial_step_past_exp_range_is_rejected_without_warning(monkeypatch):
+    ## A CMP type 1 job whose line search tries log nu ~ 750: exp overflows
+    ## there, the trial eta is -inf and is rejected.  RuntimeWarnings are
+    ## errors under pytest, so a warning would fail the fit.
+    template = InfDefDistribution(
+        BaseDistribution(kind="cmp", lam=1.0, nu=1.0),
+        InflationSpec(family="type1", points=(0, 3), factors=(1.0, 1.0)),
+    )
+    s = CountSample.from_frequencies({0: 1018, 1: 1741, 2: 1693, 3: 1515, 4: 408, 5: 103, 6: 30, 7: 9})
+    trials = []
+    real = fit_module.support_pass
+
+    def recorded(cf, eta=None):
+        trials.append(np.asarray(eta).copy())
+        return real(cf, eta)
+
+    monkeypatch.setattr(fit_module, "support_pass", recorded)
+    fit = fit_mle(template, s)
+    assert any(eta[1] == -math.inf for eta in trials)
+    assert fit.converged and fit.iterations == 6
+    assert [float(v).hex() for v in fit.eta_hat] == [
+        "0x1.bc286d56cfaf4p-1",
+        "-0x1.494e6eee2dacfp+0",
+        "0x1.53bd538934d42p-2",
+        "0x1.ba0f88a364834p-2",
+    ]

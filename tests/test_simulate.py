@@ -1,5 +1,7 @@
 """Gillespie sampler against analytic stationary laws."""
 
+import dataclasses
+import hashlib
 import math
 from collections import Counter
 
@@ -12,6 +14,8 @@ from bdcount import (
     BaseDistribution,
     BirthDeathRates,
     DomainError,
+    InfDefDistribution,
+    InflationSpec,
     SimConfig,
     StateExplosionError,
     StationaryPMF,
@@ -22,6 +26,7 @@ from bdcount import (
     tv_distance,
 )
 from bdcount.simulate import _CHUNK
+from bdcount.stationary import SUPPORT_BLOCK
 
 POISSON = BaseDistribution(kind="poisson", lam=2.0)
 
@@ -246,3 +251,210 @@ def test_sample_path_invariants(model, seed, sample_time):
     assert np.all(np.abs(ups[:-1] - downs[1:]) <= 1.0)
     assert abs(result.weights.sum() - sample_time) < 1e-9
     assert result.metadata["events"] == ups.sum() + downs.sum()
+
+
+def _per_event_run(rates, config, burn_in, max_state):
+    """The per-event Gillespie loop that run_ctmc's chunked loop must match bit for bit.
+
+    Same draws, same float operations in the same order; returns
+    (weights, ups, downs, trace), or raises StateExplosionError as run_ctmc does.
+    """
+    up_rate = [float(rates.birth(n)) for n in range(2)]
+    total_rate = [up_rate[0], up_rate[1] + float(rates.death(1))]
+    horizon = burn_in + config.sample_time
+    rng = np.random.default_rng(config.seed)
+    occupancy = [0.0] * (max_state + 1)
+    ups, downs = [0] * (max_state + 1), [0] * (max_state + 1)
+    trace = []
+    next_snap = burn_in
+    t, x, i = 0.0, 0, _CHUNK
+    while True:
+        if i == _CHUNK:
+            holds = rng.standard_exponential(_CHUNK).tolist()
+            coins = rng.random(_CHUNK).tolist()
+            i = 0
+        total = total_rate[x]
+        t_next = t + holds[i] / total
+        t_end = t_next if t_next < horizon else horizon
+        while next_snap < t_end:
+            trace.append(x)
+            next_snap += config.thinning_interval
+        lo = t if t > burn_in else burn_in
+        if t_end > lo:
+            occupancy[x] += t_end - lo
+        t = t_next
+        if t >= horizon:
+            break
+        if coins[i] * total < up_rate[x]:
+            if x == max_state:
+                raise StateExplosionError("past the guard bound")
+            if t >= burn_in:
+                ups[x] += 1
+            x += 1
+            if x == len(up_rate):
+                up_rate.append(float(rates.birth(x)))
+                total_rate.append(up_rate[x] + float(rates.death(x)))
+        else:
+            if t >= burn_in:
+                downs[x] += 1
+            x -= 1
+        i += 1
+    return np.array(occupancy), np.array(ups, dtype=float), np.array(downs, dtype=float), np.array(trace, dtype=int)
+
+
+@settings(max_examples=40)
+@given(
+    model=sim_models(),
+    seed=st.integers(0, 2**31),
+    sample_time=st.floats(1e-9, 3000.0),
+    burn_in=st.one_of(st.none(), st.floats(1e-9, 100.0)),
+    thin=st.floats(0.05, 5.0),
+)
+def test_chunked_loop_equals_per_event_loop(model, seed, sample_time, burn_in, thin):
+    base, scheme = model
+    rates = canonical_rates(base_ratio_sequence(base), scheme)
+    config = SimConfig(seed=seed, sample_time=sample_time, burn_in_time=burn_in, thinning_interval=thin)
+    result = run_ctmc(rates, config)
+    meta = result.metadata
+    weights, ups, downs, trace = _per_event_run(rates, config, meta["burn_in_time"], meta["max_state"])
+    assert np.array_equal(result.weights, weights)
+    assert np.array_equal(result.up_crossings, ups)
+    assert np.array_equal(result.down_crossings, downs)
+    assert np.array_equal(result.trace, trace)
+    ## a guard bound at the highest level reached raises exactly where the loop does
+    top = max(int(np.flatnonzero(ups + downs).max(initial=0)), 1)
+    try:
+        weights, *_ = _per_event_run(rates, config, meta["burn_in_time"], top - 1)
+    except StateExplosionError:
+        with pytest.raises(StateExplosionError):
+            run_ctmc(rates, config, max_state=top - 1)
+    else:
+        assert np.array_equal(run_ctmc(rates, config, max_state=top - 1).weights, weights)
+
+
+## Exact outputs of fixed runs: the digest covers states, weights, crossings
+## and trace (dtype and bytes), so any change to a sampled path, its timing or
+## its accumulation order shows here.
+PINNED_RUNS = {
+    "poisson_linear": (
+        lambda: canonical_rates(base_ratio_sequence(POISSON), "linear"),
+        SimConfig(seed=99, sample_time=3000.0),
+        "488f802fea0ba332dde44c2ca78f815c868a06011aa604cb5df34b01d751e6c2",
+        {"burn_in_time": 50.0, "max_state": 190, "events": 11734, "detailed_balance_residual": 0.0},
+    ),
+    "nb_constant": (
+        lambda: canonical_rates(base_ratio_sequence(BaseDistribution("negative_binomial", 1.8, r=3.0)), "constant"),
+        SimConfig(seed=5, sample_time=900.0, thinning_interval=0.7),
+        "2b4b959d8c785a5f40598100064f1b64b6fa348846be75ae3cf97d5a17eca336",
+        {"burn_in_time": 50.0, "max_state": 448, "events": 1749, "detailed_balance_residual": 0.0005717552887364208},
+    ),
+    "type2_linear": (
+        lambda: canonical_rates(
+            InfDefDistribution(BaseDistribution("poisson", 3.0), InflationSpec("type2", (2,), (1.5,))).ratio_sequence(),
+            "linear",
+        ),
+        SimConfig(seed=7, sample_time=300.0, burn_in_time=2.5),
+        "224b447f1045e802960f546028b3f79b05b8c7e383474bff3599a4b57b6d9e77",
+        {"burn_in_time": 2.5, "max_state": 233, "events": 1737, "detailed_balance_residual": 0.0005757052389176742},
+    ),
+}
+
+
+def _digest(result):
+    h = hashlib.sha256()
+    for a in (result.states, result.weights, result.up_crossings, result.down_crossings, result.trace):
+        h.update(str(a.dtype).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pinned_run_is_exact(name):
+    make_rates, config, digest, meta = PINNED_RUNS[name]
+    rates = make_rates()
+    result = run_ctmc(rates, config)
+    assert _digest(result) == digest
+    assert result.metadata == {
+        "seed": config.seed,
+        "sample_time": config.sample_time,
+        "thinning_interval": config.thinning_interval,
+        "scheme": rates.scheme,
+        "rng": "numpy.random.default_rng/PCG64, chunked",
+        **meta,
+    }
+
+
+def test_negligible_window_then_full_window_equals_fresh_run():
+    ## a traced run first times the set-up on a negligible window, then runs
+    ## the full window on the same rates object
+    make_rates, config, digest, _ = PINNED_RUNS["type2_linear"]
+    rates = make_rates()
+    tiny = run_ctmc(rates, SimConfig(seed=config.seed, sample_time=1e-9, burn_in_time=1e-9))
+    assert tiny.metadata["events"] == 0
+    again = run_ctmc(rates, config)
+    fresh = run_ctmc(make_rates(), config)
+    assert _digest(again) == _digest(fresh) == digest
+    assert again.metadata == fresh.metadata
+
+
+def _recording_rates(log, lam=50.0):
+    ## Poisson(lam) under linear deaths; the set-up reads the ratio sequence,
+    ## so log holds only the levels the event loop tabulates
+    ratio = base_ratio_sequence(BaseDistribution(kind="poisson", lam=lam))
+
+    def birth(n):
+        log.append(n)
+        return lam
+
+    return BirthDeathRates(birth=birth, death=float, scheme="linear", canonicalized_from=ratio)
+
+
+def test_level_first_reached_after_horizon_not_evaluated():
+    ## from 0 the path climbs towards 50 with almost every jump, so the draws
+    ## left in the chunk after the horizon would reach many new levels
+    log = []
+    result = run_ctmc(_recording_rates(log), SimConfig(seed=3, sample_time=0.05, burn_in_time=1e-9))
+    reached = int(np.flatnonzero(result.weights).max())
+    assert 2 <= reached and result.metadata["events"] < 100
+    assert log == list(range(reached + 1))
+
+
+def test_explosion_after_horizon_raises_nothing():
+    config = SimConfig(seed=3, sample_time=0.05, burn_in_time=1e-9)
+    free = run_ctmc(_recording_rates([]), config)
+    reached = int(np.flatnonzero(free.weights).max())
+    ## the guard bound at the highest level reached before the horizon: the
+    ## path would pass it on the next up-jump, after the horizon
+    guarded = run_ctmc(_recording_rates([]), config, max_state=reached)
+    assert np.array_equal(guarded.weights, free.weights[: reached + 1])
+    assert np.array_equal(guarded.trace, free.trace)
+    assert guarded.metadata["events"] == free.metadata["events"]
+    with pytest.raises(StateExplosionError):
+        run_ctmc(_recording_rates([]), config, max_state=reached - 1)
+    ## no event falls inside a negligible window, not even one past the guard
+    assert run_ctmc(_recording_rates([]), SimConfig(seed=3, sample_time=1e-9, burn_in_time=1e-9), max_state=0).metadata["events"] == 0
+
+
+def test_guard_bound_below_the_levels_tabulated_up_front():
+    ## levels 0 and 1 are tabulated before the run; the guard still holds at 0
+    rates = canonical_rates(base_ratio_sequence(POISSON), "linear")
+    with pytest.raises(StateExplosionError, match="state 1 past the guard bound 0"):
+        run_ctmc(rates, SimConfig(seed=2, sample_time=50.0), max_state=0)
+
+
+def test_setup_evaluates_array_ratios_a_few_times():
+    model = InfDefDistribution(BaseDistribution("poisson", 3.0), InflationSpec("type2", (2,), (1.5,)))
+    ratio = model.ratio_sequence()
+    calls = []
+
+    def counted(n):
+        calls.append(np.size(n))
+        return ratio.eval(n)
+
+    rates = canonical_rates(dataclasses.replace(ratio, eval=counted), "linear")
+    result = run_ctmc(rates, SimConfig(seed=1, sample_time=1e-9, burn_in_time=1e-9))
+    ## the table doubles from 128 entries; levels 0 and 1 are tabulated up front
+    top = len(StationaryPMF(ratio).ns)
+    assert len(calls) <= 2 + (top // SUPPORT_BLOCK).bit_length()
+    assert sum(calls) <= 2 * top + 2
+    assert result.metadata["events"] == 0

@@ -150,6 +150,34 @@ def test_series_cap_on_slow_convergence():
         log_ratio_series_sum(seq, SeriesPolicy(rel_tol=1e-10, max_terms=2000))
 
 
+@st.composite
+def near_boundary_bases(draw):
+    kind = draw(st.sampled_from(("geometric", "negative_binomial", "cmp", "hyper_poisson")))
+    if kind == "geometric":
+        return BaseDistribution(kind=kind, lam=draw(st.floats(0.9, 0.999)))
+    if kind == "negative_binomial":
+        r = draw(st.floats(0.3, 20.0))
+        return BaseDistribution(kind=kind, lam=r * draw(st.floats(0.9, 0.999)), r=r)
+    if kind == "cmp":
+        return BaseDistribution(kind=kind, lam=draw(st.floats(0.01, 20.0)), nu=draw(st.floats(0.5, 3.0)))
+    return BaseDistribution(kind=kind, lam=draw(st.floats(0.01, 60.0)), tau=draw(st.floats(0.2, 6.0)))
+
+
+@settings(max_examples=40)
+@given(base=near_boundary_bases())
+@example(base=BaseDistribution(kind="geometric", lam=0.999))
+@example(base=BaseDistribution(kind="negative_binomial", lam=0.3 * 0.999, r=0.3))
+@example(base=BaseDistribution(kind="negative_binomial", lam=3.0 * 0.999, r=3.0))
+def test_ratio_table_matches_closed_pmf_near_boundary(base):
+    ## Ratio limits up to 0.999 leave heavy geometric tails past the table's cut.
+    pmf = StationaryPMF(base_ratio_sequence(base))
+    ns = np.arange(2 * len(pmf.ns))
+    p = pmf.pmf(ns)
+    assert abs(p.sum() - 1.0) < 1e-10
+    assert np.max(np.abs(p - base_pmf(base, ns))) < 1e-10
+    assert np.array_equal(pmf.log_p, pmf.logpmf(pmf.ns))
+
+
 def test_probe_start_allows_large_head_ratios():
     ## Ratios above 1 on a finite head must not trip the divergence probe.
     seq = RatioSequence(eval=lambda n: 5.0 if n < 100 else 0.2, probe_start=100)
