@@ -4,81 +4,57 @@ Base families and their birth-death ratio sequences, inflation-deflation
 perturbations with their mixture equivalents, canonical exponential-family
 structure, moments and dispersion analysis, maximum-likelihood fitting, and
 Gillespie simulation of the underlying chains.
+
+`import bdcount` loads no submodule: each public name is read from its home
+module on every access (PEP 562), and that module is imported on first use.
+A name patched on its home module is therefore also what the package returns.
 """
 
-from .errors import (
-    DivergenceError,
-    DomainError,
-    SeriesCapError,
-    StateExplosionError,
-    UnsupportedFamilyError,
-)
-from .expfamily import (
-    CanonicalForm,
-    canonicalize,
-    cumulant_identity_residual,
-    cumulants,
-    grad_A,
-    hess_A,
-)
-from .fit import (
-    CountSample,
-    FitResult,
-    fit_mle,
-    loglik,
-    profile_fit,
-    sample_counts,
-)
-from .models import (
-    InfDefDistribution,
-    InflationSpec,
-    MixtureModel,
-    alpha_from_omega,
-    log_weight_f,
-    model_from_document,
-    model_logpmf,
-    model_pmf,
-    model_ratio_sequence,
-    modified_ratio,
-    omega_from_alpha,
-    omega_from_psi,
-    psi_link,
-    weight_f,
-)
-from .moments import (
-    ClosedMoments,
-    ContourResult,
-    MomentSummary,
-    SequenceClass,
-    classify_sequence,
-    dispersion_surface,
-    equidispersion_contour,
-    equidispersion_phi,
-    moments_closed,
-    moments_direct,
-)
-from .simulate import (
-    BirthDeathRates,
-    SimConfig,
-    SimResult,
-    canonical_rates,
-    run_ctmc,
-    tv_distance,
-)
-from .stationary import (
-    DEFAULT_POLICY,
-    BaseDistribution,
-    RatioSequence,
-    SeriesPolicy,
-    StationaryPMF,
-    WeightedPMF,
-    WeightFunction,
-    base_logpmf,
-    base_pmf,
-    base_ratio,
-    base_ratio_sequence,
-    catalogue_weight,
-    log_ratio_series_sum,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "errors": (
+        "DivergenceError", "DomainError", "SeriesCapError", "StateExplosionError",
+        "UnsupportedFamilyError",
+    ),
+    "expfamily": (
+        "CanonicalForm", "canonicalize", "cumulant_identity_residual", "cumulants", "grad_A",
+        "hess_A",
+    ),
+    "fit": (
+        "CountSample", "FitResult", "fit_mle", "loglik", "profile_fit", "sample_counts",
+    ),
+    "models": (
+        "InfDefDistribution", "InflationSpec", "MixtureModel", "alpha_from_omega", "log_weight_f",
+        "model_from_document", "model_logpmf", "model_pmf", "model_ratio_sequence",
+        "modified_ratio", "omega_from_alpha", "omega_from_psi", "psi_link", "weight_f",
+    ),
+    "moments": (
+        "ClosedMoments", "ContourResult", "MomentSummary", "SequenceClass", "classify_sequence",
+        "dispersion_surface", "equidispersion_contour", "equidispersion_phi", "moments_closed",
+        "moments_direct",
+    ),
+    "simulate": (
+        "BirthDeathRates", "SimConfig", "SimResult", "canonical_rates", "run_ctmc", "tv_distance",
+    ),
+    "stationary": (
+        "DEFAULT_POLICY", "BaseDistribution", "RatioSequence", "SeriesPolicy", "StationaryPMF",
+        "WeightedPMF", "WeightFunction", "base_logpmf", "base_pmf", "base_ratio",
+        "base_ratio_sequence", "catalogue_weight", "log_ratio_series_sum",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,7 +8,13 @@ inputs come from a JSON document (--spec) shaped like
 
 with family one of "base", "type1", "type2", or "mixture" (plus "variant" and
 its parameters).  Count data (--data) is CSV: either one count per line or
-value,count rows; a header line is tolerated.
+value,count rows.  Blank and '#' lines are skipped, cells are stripped, and
+the first data line may be a header; a count or value that is not a finite
+non-negative integer is invalid input.
+
+Each command imports only the modules it runs: `fit`, `moments` and
+`simulate` are loaded inside the commands that use them, so that a cold
+`python -m bdcount pmf` never compiles the fitter or the simulator.
 
 Exit codes: 0 success, 2 invalid input or inadmissible parameters, 3 fit did
 not converge, 4 resource guard tripped (series cap or state explosion).
@@ -19,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -29,23 +36,7 @@ from .errors import (
     StateExplosionError,
     UnsupportedFamilyError,
 )
-from .fit import CountSample, fit_mle, profile_fit
-from .models import (
-    MIXTURE_VARIANTS,
-    InfDefDistribution,
-    InflationSpec,
-    MixtureModel,
-    model_from_document,
-    model_pmf,
-)
-from .moments import (
-    dispersion_surface,
-    equidispersion_contour,
-    equidispersion_phi,
-    moments_closed,
-    moments_direct,
-)
-from .simulate import SimConfig, canonical_rates, run_ctmc, tv_distance
+from .models import MIXTURE_VARIANTS, InfDefDistribution, InflationSpec, MixtureModel, model_from_document, model_pmf
 from .stationary import SHAPE_PARAM, BaseDistribution, SeriesPolicy
 
 
@@ -114,6 +105,8 @@ def _range(text):
 
 
 def cmd_pmf(args):
+    from .moments import moments_direct
+
     model, policy = _load_spec(args)
     if args.n_max < 0:
         raise DomainError(f"--n-max must be non-negative, got {args.n_max}")
@@ -139,6 +132,8 @@ def cmd_pmf(args):
 
 
 def cmd_moments(args):
+    from .moments import moments_direct
+
     model, policy = _load_spec(args)
     summ = moments_direct(model, policy)
     fields = (
@@ -158,43 +153,51 @@ def cmd_moments(args):
 
 
 def read_count_data(path):
-    """CSV counts: one count per line, or value,count rows; header tolerated."""
-    rows = []
+    """CSV counts: one count per line, or value,count rows.
+
+    Blank and '#' lines are skipped, cells are stripped and empty ones dropped,
+    and only the first data line may be a non-numeric header.  The file is
+    tallied by raw line, so each distinct line is parsed once.
+    """
+    from .fit import CountSample
+
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([cell.strip() for cell in line.split(",") if cell.strip() != ""])
+        lines = fh.read().split("\n")
+    tally = Counter(lines)
+    rows = {}  # distinct data line -> its cells as floats (None if one is not a number)
+    for line in tally:
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        cells = [c.strip() for c in text.split(",")]
+        try:
+            rows[line] = [float(c) for c in cells if c]
+        except ValueError:
+            rows[line] = None
     if not rows:
         raise DomainError(f"no data rows in {path}")
-
-    def numeric(row):
-        try:
-            [float(c) for c in row]
-            return True
-        except ValueError:
-            return False
-
-    if not numeric(rows[0]):
-        rows = rows[1:]
-    if not rows or not all(numeric(r) for r in rows):
+    first = next(iter(rows))
+    if rows[first] is None and tally[first] == 1:
+        del rows[first]
+    if not rows or any(r is None for r in rows.values()):
         raise DomainError(f"non-numeric data rows in {path}")
-    widths = {len(r) for r in rows}
+    widths = {len(r) for r in rows.values()}
+    if widths not in ({1}, {2}):
+        raise DomainError(f"expected 1 or 2 columns, got widths {sorted(widths)}")
+    message = "counts must be non-negative integers" if widths == {1} else "values must be non-negative integers"
+    if not all(math.isfinite(r[0]) and r[0] >= 0 and r[0] == int(r[0]) for r in rows.values()):
+        raise DomainError(message)
     if widths == {1}:
-        vals = [float(r[0]) for r in rows]
-        if any(v != int(v) or v < 0 for v in vals):
-            raise DomainError("counts must be non-negative integers")
-        return CountSample.from_counts(int(v) for v in vals)
-    if widths == {2}:
+        table = Counter()
+        for line, r in rows.items():
+            table[int(r[0])] += tally[line]
+    else:
+        ## fractional frequencies are summed in file order, so they give the same bits
         table = {}
-        for r in rows:
-            val = float(r[0])
-            if val != int(val) or val < 0:
-                raise DomainError("values must be non-negative integers")
-            table[int(val)] = table.get(int(val), 0.0) + float(r[1])
-        return CountSample.from_frequencies(table)
-    raise DomainError(f"expected 1 or 2 columns, got widths {sorted(widths)}")
+        for line in filter(rows.__contains__, lines):
+            val, freq = rows[line]
+            table[int(val)] = table.get(int(val), 0.0) + freq
+    return CountSample.from_frequencies(table)
 
 
 def _shape_kwargs_from(args, kind):
@@ -228,6 +231,8 @@ def _fit_template(args, policy):
 
 
 def cmd_fit(args):
+    from .fit import fit_mle, profile_fit
+
     policy = _policy_from(args)
     sample = read_count_data(args.data)
     template = _fit_template(args, policy)
@@ -276,6 +281,8 @@ def _surface_args(args):
 
 
 def cmd_surface(args):
+    from .moments import dispersion_surface
+
     policy, shapes = _surface_args(args)
     lams = _grid(args.lambda_grid)
     phis = _grid(args.phi_grid)
@@ -300,6 +307,8 @@ def cmd_surface(args):
 
 
 def cmd_contour(args):
+    from .moments import equidispersion_contour
+
     policy, shapes = _surface_args(args)
     lo, hi = _range(args.lambda_range)
     res = equidispersion_contour(
@@ -321,6 +330,8 @@ def cmd_contour(args):
 
 
 def cmd_simulate(args):
+    from .simulate import SimConfig, canonical_rates, run_ctmc, tv_distance
+
     model, policy = _load_spec(args)
     rates = canonical_rates(model.ratio_sequence(policy), scheme=args.death_rates)
     config = SimConfig(
@@ -353,6 +364,8 @@ def cmd_simulate(args):
 
 
 def cmd_equiphi(args):
+    from .moments import equidispersion_phi, moments_closed
+
     policy = _policy_from(args)
     phi = equidispersion_phi(args.lam, args.q)
     mean = variance = math.nan

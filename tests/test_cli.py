@@ -1,5 +1,6 @@
 """End-to-end command-line checks through subprocess calls."""
 
+import importlib
 import json
 import math
 import re
@@ -9,8 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bdcount import canonicalize, equidispersion_phi, model_from_document
+import bdcount
+from bdcount import CountSample, DomainError, canonicalize, equidispersion_phi, model_from_document
+from bdcount.cli import read_count_data
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,}$")
 
@@ -126,16 +131,16 @@ def test_fit_profile_grid(tmp_path):
 
 
 def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
-    from bdcount import cli
+    from bdcount import cli, fit
 
     data = tmp_path / "d.csv"
     data.write_text("0\n1\n1\n2\n5\n")
-    real = cli.fit_mle
+    real = fit.fit_mle
 
     def stubborn(template, sample, policy, **kw):
         return replace(real(template, sample, policy, **kw), converged=False)
 
-    monkeypatch.setattr(cli, "fit_mle", stubborn)
+    monkeypatch.setattr(fit, "fit_mle", stubborn)
     rc = cli.main(["fit", "--data", str(data), "--kind", "poisson"])
     capsys.readouterr()
     assert rc == 3
@@ -390,3 +395,163 @@ def test_cold_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_commands_load_only_their_modules(tmp_path):
+    ## The fitter, its canonical form and the simulator stay unloaded until a command runs them.
+    unused = {"bdcount.fit", "bdcount.expfamily", "bdcount.simulate"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, bdcount.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert unused.isdisjoint(json.loads(proc.stdout))
+
+    ## -X importtime lists every module the run imports, one per stderr line.
+    spec = write_spec(tmp_path, PERTURBED_SPEC)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bdcount", "pmf", "--spec", spec],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "bdcount.moments" in loaded
+    assert unused.isdisjoint(loaded)
+
+
+def test_package_names_resolve_to_their_home_modules(monkeypatch):
+    for module, names in bdcount._EXPORTS.items():
+        home = importlib.import_module(f"bdcount.{module}")
+        for name in names:
+            assert getattr(bdcount, name) is getattr(home, name)
+    assert set(bdcount.__all__) <= set(dir(bdcount))
+    with pytest.raises(AttributeError):
+        bdcount.no_such_name
+    namespace = {}
+    exec("from bdcount import *", namespace)
+    assert set(bdcount.__all__) <= set(namespace)
+
+    ## Nothing is cached in the package: a name patched at home is what the package returns.
+    sentinel = object()
+    monkeypatch.setattr("bdcount.simulate.run_ctmc", sentinel)
+    assert bdcount.run_ctmc is sentinel
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1\ninf\n", "counts must be non-negative integers"),
+        ("1\nnan\n", "counts must be non-negative integers"),
+        ("1\n1e400\n", "counts must be non-negative integers"),
+        ("value,count\n1,3\nnan,2\n", "values must be non-negative integers"),
+    ],
+)
+def test_fit_non_finite_counts_exit_2(tmp_path, text, message):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    proc = run_cli("fit", "--data", str(data), "--kind", "poisson")
+    assert proc.returncode == 2
+    assert f"error: {message}" in proc.stderr
+
+
+def _reference_read_count_data(path):
+    ## The row-by-row reader that the tallying read_count_data replaced, kept as its reference.
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            rows.append([cell.strip() for cell in line.split(",") if cell.strip() != ""])
+    if not rows:
+        raise DomainError(f"no data rows in {path}")
+
+    def numeric(row):
+        try:
+            [float(c) for c in row]
+            return True
+        except ValueError:
+            return False
+
+    if not numeric(rows[0]):
+        rows = rows[1:]
+    if not rows or not all(numeric(r) for r in rows):
+        raise DomainError(f"non-numeric data rows in {path}")
+    widths = {len(r) for r in rows}
+    if widths == {1}:
+        vals = [float(r[0]) for r in rows]
+        if any(v != int(v) or v < 0 for v in vals):
+            raise DomainError("counts must be non-negative integers")
+        return CountSample.from_counts(int(v) for v in vals)
+    if widths == {2}:
+        table = {}
+        for r in rows:
+            val = float(r[0])
+            if val != int(val) or val < 0:
+                raise DomainError("values must be non-negative integers")
+            table[int(val)] = table.get(int(val), 0.0) + float(r[1])
+        return CountSample.from_frequencies(table)
+    raise DomainError(f"expected 1 or 2 columns, got widths {sorted(widths)}")
+
+
+## Cells: mostly small counts (so values repeat) and other spellings of a
+## count; now and then a fractional, negative, non-finite or non-numeric cell.
+## Later columns also hold fractional frequencies, and 1e16, which absorbs a
+## following 1 but not a following 2, so the order of a sum shows in its bits.
+_ODD = ["0.1", "0.2", "0.7", "2.5", "1e-3", "-1", "inf", "nan", "1e400", "x", "n/a"]
+_COUNTS = ["0", "1", "2", "3", "4", "3.0", "+3", "1e2", "1_0"]
+
+
+def _padded(cells):
+    spaces = st.sampled_from(["", " ", "  ", "\t", "\x0c"])  # a form feed ends no line
+    return st.tuples(spaces, st.sampled_from(cells), spaces).map("".join)
+
+
+_FIRST = _padded(_COUNTS * 12 + _ODD)
+_LATER = _padded(["1", "2", "3", "0.1", "0.2", "0.7", "2.5", "1e16"] * 6 + _ODD)
+_NOISE = st.sampled_from(["", "   ", "# comment", "  # indented, comment"])
+_HEADERS = st.sampled_from(["count", "value,count", "\ufeffcount", "\ufeffvalue, count", "a,b,c"])
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.sampled_from([1, 2, 1, 2, 3]))
+    row = st.tuples(_FIRST, *[_LATER] * (width - 1))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    if draw(st.integers(0, 5)) == 0:
+        rows.append(draw(st.lists(_FIRST, min_size=1, max_size=3)))  # a row of another width
+    distinct = [",".join(r) + "," * draw(st.integers(0, 2)) for r in rows]  # with trailing empty cells
+    lines = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=24))  # lines repeat
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE))
+    header = draw(_HEADERS)
+    for at in draw(st.sampled_from([[], [], [0], [0], [1], [0, 3]])):  # a header, first or not, once or twice
+        lines.insert(min(at, len(lines)), header)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    ends[-1] = draw(st.sampled_from(["", "\n", "\r\n"]))  # with or without a final line end
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except (OverflowError, ValueError) as exc:  # DomainError is a ValueError
+        return exc
+
+
+@settings(max_examples=400)
+@given(text=_csv_texts())
+def test_read_count_data_matches_the_row_by_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ref, new = _read(_reference_read_count_data, path), _read(read_count_data, path)
+    if isinstance(ref, CountSample):
+        assert isinstance(new, CountSample), new
+        assert new.values == ref.values
+        assert [f.hex() for f in new.freqs] == [f.hex() for f in ref.freqs]
+    elif isinstance(ref, DomainError):
+        assert type(new) is DomainError and str(new) == str(ref)
+    else:
+        ## a non-finite count or value: the reference's untyped error is now invalid input
+        assert type(new) is DomainError
+        assert str(new) in ("counts must be non-negative integers", "values must be non-negative integers")
