@@ -27,7 +27,7 @@ _EXPORTS = {
     "models": (
         "InfDefDistribution", "InflationSpec", "MixtureModel", "alpha_from_omega", "log_weight_f",
         "model_from_document", "model_logpmf", "model_pmf", "model_ratio_sequence",
-        "modified_ratio", "omega_from_alpha", "omega_from_psi", "psi_link", "weight_f",
+        "modified_log_ratio", "modified_ratio", "omega_from_alpha", "omega_from_psi", "psi_link", "weight_f",
     ),
     "moments": (
         "ClosedMoments", "ContourResult", "MomentSummary", "SequenceClass", "classify_sequence",
@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "stationary": (
         "DEFAULT_POLICY", "BaseDistribution", "RatioSequence", "SeriesPolicy", "StationaryPMF",
-        "WeightedPMF", "WeightFunction", "base_logpmf", "base_pmf", "base_ratio",
+        "WeightedPMF", "WeightFunction", "base_log_ratio", "base_logpmf", "base_pmf", "base_ratio",
         "base_ratio_sequence", "catalogue_weight", "log_ratio_series_sum",
     ),
 }

@@ -573,7 +573,7 @@ def main(argv=None):
     except (DomainError, DivergenceError, UnsupportedFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SeriesCapError, StateExplosionError) as exc:

@@ -37,8 +37,8 @@ from .stationary import (
     SeriesPolicy,
     as_support,
     base_logpmf,
+    base_log_ratio,
     base_pmf,
-    base_ratio,
     base_ratio_sequence,
     support_scan,
 )
@@ -186,10 +186,7 @@ class InfDefDistribution:
         """The modified birth-death ratios; they do not depend on policy."""
         hint = base_ratio_sequence(self.base).limit_hint
         return RatioSequence(
-            eval=lambda n: modified_ratio(self, n),
-            limit_hint=hint,
-            probe_start=max(self.spec.points) + 1,
-            vectorized=True,
+            log_eval=lambda n: modified_log_ratio(self, n), limit_hint=hint, probe_start=max(self.spec.points) + 1
         )
 
     def to_document(self):
@@ -198,12 +195,16 @@ class InfDefDistribution:
         return doc
 
 
-def modified_ratio(dist, n):
-    """lambda_n of the perturbed law: g(n) * lambda_n of the base."""
+def modified_log_ratio(dist, n):
+    """log lambda_n of the perturbed law: log g(n) + log lambda_n of the base."""
     ns = as_support(n)
-    log_g = log_weight_f(dist.spec, ns + 1) - log_weight_f(dist.spec, ns)
-    out = np.exp(log_g) * base_ratio(dist.base, ns)
+    out = log_weight_f(dist.spec, ns + 1) - log_weight_f(dist.spec, ns) + base_log_ratio(dist.base, ns)
     return float(out) if np.ndim(n) == 0 else out
+
+
+def modified_ratio(dist, n):
+    """lambda_n of the perturbed law, exp(modified_log_ratio)."""
+    return np.exp(modified_log_ratio(dist, n))
 
 
 @dataclass(frozen=True)
@@ -377,8 +378,8 @@ def model_logpmf(model, n, policy=DEFAULT_POLICY):
     """log PMF of any model: model.logpmf(n, policy).
 
     A BaseDistribution or MixtureModel sums its base's series normalizer under
-    policy; an InfDefDistribution, StationaryPMF or WeightedPMF keeps the
-    policy it was built with and ignores the argument.
+    policy; an InfDefDistribution or StationaryPMF (a WeightedPMF is one)
+    keeps the policy it was built with and ignores the argument.
     """
     return model.logpmf(n, policy)
 

@@ -32,11 +32,12 @@ All series work is done in log space under a SeriesPolicy.  Sums over the
 support (base normalizers, moments, cumulants, sampling tables) share one stop
 rule, support_settled: support_scan applies it block by block to many laws at
 once; support_table, which keeps one law's log weights, applies it in one
-vectorized step over the table's blocks each time the table doubles.  The
-normalizers of StationaryPMF and WeightedPMF, and log_ratio_series_sum, are
-the log mass of a support table too: its log weights are the running sum of
-the log ratios, evaluated a block at a time (one call per block for a
-vectorized RatioSequence, one per n otherwise) and probed for divergence.
+vectorized step over the table's blocks each time the table doubles.  Ratios
+are held as log lambda_n, so a ratio that would underflow or overflow stays
+finite.  The normalizer of StationaryPMF (WeightedPMF among them), and
+log_ratio_series_sum, is the log mass of a support table too: its log weights
+are the running sum of the log ratios, evaluated a block at a time (one
+log_eval call per block) and probed for divergence.
 """
 
 import functools
@@ -85,11 +86,15 @@ DEFAULT_POLICY = SeriesPolicy()
 
 @dataclass(frozen=True, eq=False)
 class RatioSequence:
-    """Ratio sequence n -> lambda_n = gamma_n / mu_{n+1} of a birth-death process.
+    """Ratio sequence n -> lambda_n = gamma_n / mu_{n+1} of a birth-death process, in log space.
 
-    eval maps a non-negative integer to a positive real; when vectorized is
-    true it also maps an integer array to the ratios elementwise, and a table
-    evaluates each new block of n in one call instead of once per n.
+    log_eval maps an integer array of n to log lambda_n, and a table
+    evaluates each new block of n in one call.  A sequence known only by a
+    per-n callable f of the linear ratio, such as one read off custom birth
+    and death rates, is RatioSequence(eval=f): its log_eval calls f once per
+    n and raises DomainError unless the ratio is a positive finite real.
+    Either way eval(n) reads lambda_n as exp(log_eval(n)); an eval passed
+    together with a log_eval is ignored.
     limit_hint, when known, is the limit of the sequence: a hint >= 1 marks the
     series divergent before any ratio is evaluated.  probe_start is the first
     index at which divergence probing is allowed and the least top of the
@@ -97,45 +102,47 @@ class RatioSequence:
     deflated) should set it past the perturbation.
     """
 
-    eval: callable
+    log_eval: callable = None
     limit_hint: float | None = None
     probe_start: int = 0
-    vectorized: bool = False
+    eval: callable = None
 
     def __post_init__(self):
         if self.limit_hint is not None and not math.isfinite(self.limit_hint):
             raise DomainError(f"limit_hint must be finite, got {self.limit_hint}")
         if self.probe_start < 0:
             raise DomainError(f"probe_start must be non-negative, got {self.probe_start}")
+        if self.log_eval is None:
+            if self.eval is None:
+                raise DomainError("a ratio sequence needs log_eval or eval")
+            object.__setattr__(self, "log_eval", functools.partial(_log_each, self.eval))
+        log_eval = self.log_eval
+        object.__setattr__(self, "eval", lambda n: np.exp(log_eval(n)))
 
 
-def _log_ratios(ratio, ns):
-    """log lambda_n over the integer array ns: one eval call if the sequence is vectorized, else one per n."""
-    if ratio.vectorized:
-        lam = np.asarray(ratio.eval(ns), dtype=float)
-    else:
-        lam = np.array([float(ratio.eval(n)) for n in ns.tolist()])
+def _log_each(f, ns):
+    """log f(n) over the integers ns, one call per n; each f(n) must be a positive finite real."""
+    lam = np.array([float(f(n)) for n in np.ravel(ns).tolist()])
     bad = ~((lam > 0.0) & np.isfinite(lam))
     if bad.any():
         i = int(bad.argmax())
-        raise DomainError(f"ratio at index {ns[i]} must be a positive finite real, got {lam[i]}")
-    return np.log(lam)
+        raise DomainError(f"ratio at index {np.ravel(ns)[i]} must be a positive finite real, got {lam[i]}")
+    return np.log(lam).reshape(np.shape(ns))
 
 
 class _LogPrefix:
     """log(lambda_0 * ... * lambda_{n-1}) over n = 0, 1, ..., grown block by block.
 
-    log_ratios maps an integer array of n to log lambda_n.  Called on an
-    integer array ns, the table grows to cover ns.max() with one call for the
-    new block, then returns its values at ns; the values are the running sum
-    of the log ratios in order, as a per-term loop would add them.  Each new
-    block is probed for divergence: from probe_start on, 64 consecutive ratios
-    >= 1 whose last is no smaller than its first end the series.
+    Called on an integer array ns, the table grows to cover ns.max() with
+    one log_eval call for the new block, then returns its values at ns; the
+    values are the running sum of the log ratios in order, as a per-term loop
+    would add them.  A log ratio that is not finite raises DomainError.  Each
+    new block is probed for divergence: from probe_start on, 64 consecutive
+    ratios >= 1 whose last is no smaller than its first end the series.
     """
 
-    def __init__(self, log_ratios, probe_start=0):
-        self._log_ratios = log_ratios
-        self._probe_start = probe_start
+    def __init__(self, ratio):
+        self._ratio = ratio
         self.log_lam = np.empty(0)
         self.values = np.zeros(1)
 
@@ -143,14 +150,18 @@ class _LogPrefix:
         top = int(ns.max())
         if top >= len(self.values):
             lo = len(self.log_lam)
-            new = self._log_ratios(np.arange(lo, top))
+            new = np.asarray(self._ratio.log_eval(np.arange(lo, top)), dtype=float)
+            bad = ~np.isfinite(new)
+            if bad.any():
+                i = int(bad.argmax())
+                raise DomainError(f"log ratio at index {lo + i} must be finite, got {new[i]}")
             self.log_lam = np.concatenate([self.log_lam, new])
             self._probe(lo)
             self.values = np.concatenate([self.values, np.cumsum(np.concatenate(([self.values[-1]], new)))[1:]])
         return self.values[ns]
 
     def _probe(self, lo):
-        start = max(self._probe_start, lo - _PROBE_WINDOW + 1)
+        start = max(self._ratio.probe_start, lo - _PROBE_WINDOW + 1)
         seg = self.log_lam[start:]
         if len(seg) < _PROBE_WINDOW:
             return
@@ -174,16 +185,16 @@ class _LogPrefix:
         of the mass at a ratio limit of 0.999.  The log of the series is the
         table's log mass plus that tail, taken as the geometric series of the
         last ratio in the table.  A table that does not settle within
-        policy.max_terms raises DivergenceError when its last ratio is >= 1,
+        policy.max_terms raises DivergenceError when its last log ratio is >= 0,
         else SeriesCapError.
         """
         try:
             ns, log_w = support_table(self, policy, min_top)
         except SeriesCapError:
-            lam = math.exp(self.log_lam[-1])
-            if lam >= 1.0:
+            log_lam = float(self.log_lam[-1])
+            if log_lam >= 0.0:
                 raise DivergenceError(
-                    f"series still growing after {policy.max_terms} terms (last ratio {lam}); "
+                    f"series still growing after {policy.max_terms} terms (last log ratio {log_lam}); "
                     "treating it as divergent"
                 ) from None
             raise SeriesCapError(
@@ -369,7 +380,7 @@ class StationaryPMF:
             raise DivergenceError(f"ratio sequence tends to {ratio.limit_hint} >= 1; the stationary series diverges")
         self.ratio = ratio
         self.policy = policy
-        self._log_prefix = _LogPrefix(functools.partial(_log_ratios, ratio), ratio.probe_start)
+        self._log_prefix = _LogPrefix(ratio)
         self.ns, log_w, self.log_z = self._log_prefix.settle(policy, ratio.probe_start)
         self.log_p = log_w - self.log_z
 
@@ -444,29 +455,34 @@ def lam_upper(kind, r=None):
     return {"geometric": 1.0, "poisson_lindley": 1.0, "negative_binomial": r}.get(kind, math.inf)
 
 
-def base_ratio(base, n):
-    """lambda_n of a base family; n may be a scalar or integer array."""
+def base_log_ratio(base, n):
+    """log lambda_n of a base family; n may be a scalar or integer array."""
     ns = np.asarray(n, dtype=float)
     lam = base.lam
     if base.kind == "geometric":
-        out = np.full_like(ns, lam)
+        out = np.log(np.full_like(ns, lam))
     elif base.kind == "poisson":
-        out = lam / (ns + 1.0)
+        out = np.log(lam / (ns + 1.0))
     elif base.kind == "poisson_lindley":
-        out = (1.0 + (ns + 2.0) * lam) * lam / (1.0 + (ns + 1.0) * lam)
+        out = np.log((1.0 + (ns + 2.0) * lam) * lam / (1.0 + (ns + 1.0) * lam))
     elif base.kind == "negative_binomial":
-        out = (ns / base.r + 1.0) * lam / (ns + 1.0)
+        out = np.log((ns / base.r + 1.0) * lam / (ns + 1.0))
     elif base.kind == "hyper_poisson":
-        out = lam / (base.tau + ns)
-    else:  # cmp, in log space: (n + 1) ** nu overflows, and its inverse goes subnormal
-        out = np.exp(math.log(lam) - base.nu * np.log1p(ns))
+        out = np.log(lam / (base.tau + ns))
+    else:  # cmp, finite where (n + 1) ** nu overflows or its inverse underflows
+        out = math.log(lam) - base.nu * np.log1p(ns)
     return float(out) if np.ndim(n) == 0 else out
+
+
+def base_ratio(base, n):
+    """lambda_n of a base family, exp(base_log_ratio); n may be a scalar or integer array."""
+    return np.exp(base_log_ratio(base, n))
 
 
 def base_ratio_sequence(base):
     """Base-family ratios packaged with their limit lam / lam_upper for series control."""
     hint = base.lam / lam_upper(base.kind, base.r)
-    return RatioSequence(eval=lambda n: base_ratio(base, n), limit_hint=hint, vectorized=True)
+    return RatioSequence(log_eval=functools.partial(base_log_ratio, base), limit_hint=hint)
 
 
 ## Entries kept by the normalizer memo; a fit re-evaluates only its latest
@@ -759,35 +775,14 @@ def catalogue_weight(name, against="poisson", **params):
     return WeightFunction(name=f"{name}/{against}", log_eval=log_f, params=dict(params))
 
 
-class WeightedPMF:
-    """Law p(n) proportional to w(n) * b(n), normalized on a ratio table.
+class WeightedPMF(StationaryPMF):
+    """Law p(n) proportional to w(n) * b(n): the stationary law of the ratios g(n) * lambda_n.
 
-    Its ratios g(n) * lambda_n are taken in log space, log g(n) + log lambda_n,
-    so a steep damping weight does not underflow them; their log prefix is
-    the table of StationaryPMF, with the same divergence probe and stop rule.
+    The ratios are taken in log space, log g(n) + log lambda_n, so a steep
+    damping weight does not underflow them.
     """
 
     def __init__(self, base, weight, policy=DEFAULT_POLICY):
         self.base = base
         self.weight = weight
-        self.policy = policy
-
-        def log_ratios(ns):
-            out = weight.log_g(ns) + np.log(base_ratio(base, ns))
-            bad = ~np.isfinite(out)
-            if bad.any():
-                raise DomainError(f"log ratio at index {ns[bad.argmax()]} must be finite, got {out[bad.argmax()]}")
-            return out
-
-        ## z / (w(0) b(0)) is the log mass of the ratio table, then shifted back.
-        log_first = float(weight.log_eval(0)) + base_logpmf(base, 0, policy)
-        _, _, log_mass = _LogPrefix(log_ratios).settle(policy)
-        self.log_norm = log_first + log_mass
-
-    def logpmf(self, n, policy=None):
-        ns = as_support(n)
-        out = self.weight.log_eval(ns) + base_logpmf(self.base, ns, self.policy) - self.log_norm
-        return float(out) if np.ndim(n) == 0 else out
-
-    def pmf(self, n):
-        return np.exp(self.logpmf(n))
+        super().__init__(RatioSequence(log_eval=lambda ns: weight.log_g(ns) + base_log_ratio(base, ns)), policy)

@@ -454,6 +454,22 @@ def test_fit_non_finite_counts_exit_2(tmp_path, text, message):
     assert f"error: {message}" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (("fit", "--kind", "poisson", "--data"), b"1\n\xff2\n"),
+        (("pmf", "--spec"), b'{"family": "base", "base": {"kind": "poisson\xff", "lambda": 2.0}}'),
+    ],
+    ids=["csv", "json"],
+)
+def test_non_utf8_input_exits_2(tmp_path, argv, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    proc = run_cli(*argv, str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
 def _reference_read_count_data(path):
     ## The row-by-row reader that the tallying read_count_data replaced, kept as its reference.
     rows = []

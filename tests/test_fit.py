@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 
 from bdcount import (
     BaseDistribution,
@@ -221,6 +220,7 @@ def test_every_mixture_variant_fits_as_its_type1_law(variant, params):
 
 
 def test_fit_beats_simplex_oracle():
+    minimize = pytest.importorskip("scipy.optimize").minimize
     template = InfDefDistribution(
         BaseDistribution(kind="poisson", lam=1.0),
         InflationSpec(family="type1", points=(1,), factors=(1.0,)),

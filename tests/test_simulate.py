@@ -88,6 +88,15 @@ def test_constant_scheme_same_stationary_law():
     assert tv_distance(result, StationaryPMF(base_ratio_sequence(POISSON))) < 0.02
 
 
+def test_steep_cmp_runs():
+    ## CMP at lam = 1, nu = 200: about half the mass at 0 and half at 1, and
+    ## birth rates that underflow to 0.0 past level 40, which the path never reaches
+    base = BaseDistribution(kind="cmp", lam=1.0, nu=200.0)
+    result = run_ctmc(canonical_rates(base_ratio_sequence(base), "linear"), SimConfig(seed=3, sample_time=2000.0))
+    assert result.metadata["events"] > 1000
+    assert tv_distance(result, lambda ns: base_pmf(base, ns)) < 0.05
+
+
 def test_custom_rates_queue():
     ## M/M/1 queue: constant arrival and service, geometric stationary law
     rates = BirthDeathRates(birth=lambda n: 0.6, death=lambda n: 1.0)
@@ -449,9 +458,9 @@ def test_setup_evaluates_array_ratios_a_few_times():
 
     def counted(n):
         calls.append(np.size(n))
-        return ratio.eval(n)
+        return ratio.log_eval(n)
 
-    rates = canonical_rates(dataclasses.replace(ratio, eval=counted), "linear")
+    rates = canonical_rates(dataclasses.replace(ratio, log_eval=counted), "linear")
     result = run_ctmc(rates, SimConfig(seed=1, sample_time=1e-9, burn_in_time=1e-9))
     ## the table doubles from 128 entries; levels 0 and 1 are tabulated up front
     top = len(StationaryPMF(ratio).ns)

@@ -178,6 +178,26 @@ def test_ratio_table_matches_closed_pmf_near_boundary(base):
     assert np.array_equal(pmf.log_p, pmf.logpmf(pmf.ns))
 
 
+## The CMP at lam = 1, nu = 200: its ratio lam / (n + 1)^nu underflows to 0.0 at n = 41.
+STEEP_CMP = BaseDistribution(kind="cmp", lam=1.0, nu=200.0)
+
+
+def test_steep_cmp_ratio_table_matches_closed_pmf():
+    ns = np.arange(200)
+    got = StationaryPMF(base_ratio_sequence(STEEP_CMP)).logpmf(ns)
+    want = base_logpmf(STEEP_CMP, ns)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_weighted_steep_cmp_matches_direct_normalization():
+    w = catalogue_weight("squared_exponential", tau=0.3)
+    law = WeightedPMF(STEEP_CMP, w)
+    ns = np.arange(200)
+    log_raw = w.log_eval(ns) + base_logpmf(STEEP_CMP, ns)
+    want = log_raw - np.logaddexp.reduce(log_raw)
+    assert np.max(np.abs(law.logpmf(ns) - want) / np.abs(want)) <= 1e-12
+
+
 def test_probe_start_allows_large_head_ratios():
     ## Ratios above 1 on a finite head must not trip the divergence probe.
     seq = RatioSequence(eval=lambda n: 5.0 if n < 100 else 0.2, probe_start=100)
