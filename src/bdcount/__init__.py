@@ -18,16 +18,15 @@ _EXPORTS = {
         "UnsupportedFamilyError",
     ),
     "expfamily": (
-        "CanonicalForm", "canonicalize", "cumulant_identity_residual", "cumulants", "grad_A",
-        "hess_A",
+        "CanonicalForm", "canonicalize", "cumulant_identity_residual", "support_pass",
     ),
     "fit": (
         "CountSample", "FitResult", "fit_mle", "loglik", "profile_fit", "sample_counts",
     ),
     "models": (
         "InfDefDistribution", "InflationSpec", "MixtureModel", "alpha_from_omega", "log_weight_f",
-        "model_from_document", "model_logpmf", "model_pmf", "model_ratio_sequence",
-        "modified_log_ratio", "modified_ratio", "omega_from_alpha", "omega_from_psi", "psi_link", "weight_f",
+        "model_from_document", "model_pmf", "model_ratio_sequence", "modified_log_ratio",
+        "modified_ratio", "omega_from_alpha", "omega_from_psi", "psi_link",
     ),
     "moments": (
         "ClosedMoments", "ContourResult", "MomentSummary", "SequenceClass", "classify_sequence",
@@ -40,7 +39,7 @@ _EXPORTS = {
     "stationary": (
         "DEFAULT_POLICY", "BaseDistribution", "RatioSequence", "SeriesPolicy", "StationaryPMF",
         "WeightedPMF", "WeightFunction", "base_log_ratio", "base_logpmf", "base_pmf", "base_ratio",
-        "base_ratio_sequence", "catalogue_weight", "log_ratio_series_sum",
+        "base_ratio_sequence", "catalogue_weight",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

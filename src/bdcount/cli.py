@@ -36,7 +36,7 @@ from .errors import (
     StateExplosionError,
     UnsupportedFamilyError,
 )
-from .models import MIXTURE_VARIANTS, InfDefDistribution, InflationSpec, MixtureModel, model_from_document, model_pmf
+from .models import MIXTURE_VARIANTS, InfDefDistribution, InflationSpec, MixtureModel, model_from_document
 from .stationary import SHAPE_PARAM, BaseDistribution, SeriesPolicy
 
 
@@ -87,21 +87,27 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
+def _cells(text, sep, converts, form):
+    """text split at sep, cell i read by converts[i] (every cell, if converts is one callable); else DomainError."""
+    parts = text.split(sep)
+    converts = (converts,) * len(parts) if callable(converts) else converts
+    try:
+        if len(parts) == len(converts):
+            return [convert(part) for convert, part in zip(converts, parts)]
+    except ValueError:
+        pass
+    raise DomainError(f"{form}, got {text!r}")
+
+
 def _grid(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise DomainError(f"grid must be lo:hi:n, got {text!r}")
-    lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (lo < hi and num >= 2):
-        raise DomainError(f"grid needs lo < hi and n >= 2, got {text!r}")
+    lo, hi, num = _cells(text, ":", (float, float, int), "grid must be lo:hi:n with an integer n")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and num >= 2):
+        raise DomainError(f"grid needs finite lo < hi and n >= 2, got {text!r}")
     return np.linspace(lo, hi, num)
 
 
 def _range(text):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise DomainError(f"range must be lo:hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return tuple(_cells(text, ":", (float, float), "range must be lo:hi"))
 
 
 def cmd_pmf(args):
@@ -111,7 +117,7 @@ def cmd_pmf(args):
     if args.n_max < 0:
         raise DomainError(f"--n-max must be non-negative, got {args.n_max}")
     ns = np.arange(args.n_max + 1)
-    p = np.atleast_1d(model_pmf(model, ns, policy))
+    p = np.atleast_1d(model.pmf(ns, policy))
     cum = np.cumsum(p)
     summ = moments_direct(model, policy)
     if args.format == "json":
@@ -211,15 +217,12 @@ def _shape_kwargs_from(args, kind):
 
 def _fit_template(args, policy):
     kind = args.kind
-    ## a profiled shape parameter needs no explicit flag; the grid supplies it
-    if args.profile and args.profile_grid and getattr(args, args.profile, None) is None:
-        setattr(args, args.profile, float(args.profile_grid.split(",")[0]))
     shapes = _shape_kwargs_from(args, kind)
     lam0 = 0.5 if "r" not in shapes else shapes["r"] / 2.0
     base = BaseDistribution(kind=kind, lam=lam0, **shapes)
     if args.family == "base":
         return base
-    points = tuple(int(p) for p in args.points.split(",")) if args.points else None
+    points = args.points and tuple(_cells(args.points, ",", int, "--points must be comma-separated integers"))
     if not points:
         raise DomainError(f"family {args.family!r} requires --points")
     family = "type1" if args.family == "mixture" else args.family
@@ -235,9 +238,12 @@ def cmd_fit(args):
 
     policy = _policy_from(args)
     sample = read_count_data(args.data)
+    grid = args.profile_grid and _cells(args.profile_grid, ",", float, "--profile-grid must be comma-separated numbers")
+    ## a profiled shape parameter needs no explicit flag; the grid supplies it
+    if args.profile and grid and getattr(args, args.profile, None) is None:
+        setattr(args, args.profile, grid[0])
     template = _fit_template(args, policy)
-    if args.profile_grid:
-        grid = [float(g) for g in args.profile_grid.split(",")]
+    if grid:
         result = profile_fit(template, sample, grid, nuisance=args.profile, policy=policy)
     else:
         result = fit_mle(template, sample, policy=policy)
@@ -341,7 +347,7 @@ def cmd_simulate(args):
         thinning_interval=args.thin,
     )
     result = run_ctmc(rates, config, policy, max_state=args.max_state)
-    tv = tv_distance(result, lambda ns: model_pmf(model, ns, policy), policy)
+    tv = tv_distance(result, lambda ns: model.pmf(ns, policy))
     if args.format == "json":
         _write(args, json.dumps({
             "metadata": result.metadata,

@@ -24,13 +24,14 @@ along an optimizer path.  support_pass makes one support table of the
 weights h(n) exp(T(n).eta) and reads from it A (the table's log mass) with its
 gradient and Hessian (the mean and covariance of T(N)), so all three come from
 one truncation.  T is built once, block by block as the table grows: the
-blocks give the weights and then the mean and covariance.  cumulants, grad_A
-and hess_A read the pass, and so does shape_mean, the derivative of A in a
-carrier shape (r, tau) at fixed eta, the mean of d log h(N) / d shape.
-Passes are memoized per eta, so a derivative read at a fitted eta costs no
-second pass.  CanonicalForm.A instead adds the base's log_norm (a closed form,
-or the log mass of the base's own support table) to the perturbation's log z,
-and agrees with the pass to the tables' tolerance.
+blocks give the weights and then the mean and covariance.  Callers read the
+gradient and Hessian of A as the pass's mean and cov, and shape_mean, the
+derivative of A in a carrier shape (r, tau) at fixed eta, as the mean of
+d log h(N) / d shape under its weights.  Passes are memoized per eta, so a
+derivative read at a fitted eta costs no second pass.  CanonicalForm.A instead
+adds the base's log_norm (a closed form, or the log mass of the base's own
+support table) to the perturbation's log z, and agrees with the pass to the
+tables' tolerance.
 
 For any of these laws the stationary construction gives the identity
 
@@ -52,6 +53,7 @@ from .models import InfDefDistribution, InflationSpec, MixtureModel
 from .stationary import (
     DEFAULT_POLICY,
     BaseDistribution,
+    StationaryPMF,
     as_support,
     base_eta,
     base_from_eta,
@@ -59,7 +61,6 @@ from .stationary import (
     log_carrier_slope,
     log_gamma,
     log_norm,
-    log_ratio_series_sum,
     support_floor,
     support_table,
 )
@@ -116,9 +117,6 @@ class CanonicalForm:
     def log_h(self, n):
         out = log_carrier(self.kind, as_support(n), self.r, self.tau)
         return float(out) if np.ndim(n) == 0 else out
-
-    def h(self, n):
-        return np.exp(self.log_h(n))
 
     def dlog_h(self, n):
         """Derivative of log h(n) in the carrier shape: r of a negative binomial, tau of a hyper-Poisson."""
@@ -257,29 +255,10 @@ def _memo_pass(kind, r, tau, points, family, policy, eta_bytes):
     return SupportPass(float(top + math.log(mass)), mean, cov, w)
 
 
-def cumulants(cf, eta=None):
-    """Mean and covariance of T(N) at eta: the gradient and Hessian of A.
-
-    Read from support_pass; the covariance is symmetric PSD.
-    """
-    res = support_pass(cf, eta)
-    return res.mean, res.cov
-
-
 def shape_mean(cf, eta=None):
     """E[d log h(N) / d shape] at eta: the derivative of A in the carrier shape at fixed eta."""
     w = support_pass(cf, eta).weights
     return float(w @ cf.dlog_h(np.arange(len(w))))
-
-
-def grad_A(cf, eta=None):
-    """Gradient of A at eta: the mean of T(N)."""
-    return cumulants(cf, eta)[0]
-
-
-def hess_A(cf, eta=None):
-    """Hessian of A at eta: the covariance of T(N); symmetric PSD."""
-    return cumulants(cf, eta)[1]
 
 
 def cumulant_identity_residual(cf, ratio, policy=None):
@@ -290,5 +269,4 @@ def cumulant_identity_residual(cf, ratio, policy=None):
     """
     policy = policy or cf.policy
     lhs = cf.A() - cf.log_h(0) - float(cf.T(0) @ cf.eta)
-    rhs = log_ratio_series_sum(ratio, policy)
-    return lhs - rhs
+    return lhs - StationaryPMF(ratio, policy).log_z

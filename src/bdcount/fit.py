@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, SeriesCapError
 from .expfamily import canonicalize, shape_mean, support_pass
-from .models import InfDefDistribution, InflationSpec, model_from_document, model_logpmf
+from .models import InfDefDistribution, InflationSpec, model_from_document
 from .stationary import DEFAULT_POLICY, base_pmf, lam_upper, support_floor, support_table
 
 _GRAD_TOL = 1e-8
@@ -97,7 +97,7 @@ class CountSample:
 
 def loglik(model, sample, policy=DEFAULT_POLICY):
     """Total log-likelihood sum_j freq_j log p(v_j); -inf when support is missed."""
-    lp = np.atleast_1d(model_logpmf(model, np.asarray(sample.values), policy))
+    lp = np.atleast_1d(model.logpmf(np.asarray(sample.values), policy))
     freqs = np.asarray(sample.freqs)
     hit = freqs > 0.0
     if np.any(np.isneginf(lp[hit])):
@@ -418,7 +418,7 @@ def sample_counts(model, size, rng, policy=DEFAULT_POLICY):
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    _, log_p = support_table(lambda ns: model_logpmf(model, ns, policy), policy, support_floor(model))
+    _, log_p = support_table(lambda ns: model.logpmf(ns, policy), policy, support_floor(model))
     cdf = np.cumsum(np.exp(log_p))
     u = rng.random(size) * cdf[-1]
     return np.searchsorted(cdf, u, side="left")

@@ -121,10 +121,6 @@ def log_weight_f(spec, n):
     return float(out) if np.ndim(n) == 0 else out
 
 
-def weight_f(spec, n):
-    return np.exp(log_weight_f(spec, n))
-
-
 ## Least base mass off the perturbed levels (or normalizer z, in the closed
 ## moments) taken as 1 less the level masses; below it that difference would
 ## cancel, and a support scan sums the terms off the levels directly.
@@ -374,18 +370,14 @@ def omega_from_psi(base, points, psi, policy=DEFAULT_POLICY):
     return omega_from_alpha(base, spec, policy)
 
 
-def model_logpmf(model, n, policy=DEFAULT_POLICY):
-    """log PMF of any model: model.logpmf(n, policy).
+def model_pmf(model, n, policy=DEFAULT_POLICY):
+    """PMF of any model: model.pmf(n, policy), exp of model.logpmf(n, policy).
 
     A BaseDistribution or MixtureModel sums its base's series normalizer under
     policy; an InfDefDistribution or StationaryPMF (a WeightedPMF is one)
     keeps the policy it was built with and ignores the argument.
     """
-    return model.logpmf(n, policy)
-
-
-def model_pmf(model, n, policy=DEFAULT_POLICY):
-    return np.exp(model_logpmf(model, n, policy))
+    return model.pmf(n, policy)
 
 
 def model_ratio_sequence(model, policy=DEFAULT_POLICY):

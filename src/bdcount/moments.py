@@ -38,7 +38,6 @@ from .models import (
     MixtureModel,
     level_cells,
     log_levels,
-    model_logpmf,
     off_levels,
 )
 from .stationary import (
@@ -80,7 +79,7 @@ _MAX_ROWS = 2048
 
 def moments_direct(model, policy=DEFAULT_POLICY):
     """MomentSummary by direct summation over the (truncated) support."""
-    ns, log_p = support_table(lambda ns: model_logpmf(model, ns, policy), policy, support_floor(model))
+    ns, log_p = support_table(lambda ns: model.logpmf(ns, policy), policy, support_floor(model))
     ns = ns.astype(float)
     p = np.exp(log_p)
     mass = float(p.sum())
@@ -272,8 +271,8 @@ def equidispersion_contour(
     bracket to xtol.  When the index is 1 everywhere on the scan (the phi = 1
     Poisson line), returns degenerate=True and no roots.
     """
-    if not (0.0 < lambda_lo < lambda_hi):
-        raise DomainError(f"need 0 < lambda_lo < lambda_hi, got ({lambda_lo}, {lambda_hi})")
+    if not (0.0 < lambda_lo < lambda_hi < math.inf):
+        raise DomainError(f"need 0 < lambda_lo < lambda_hi < inf, got ({lambda_lo}, {lambda_hi})")
     xs = np.linspace(lambda_lo, lambda_hi, subintervals + 1)
 
     def index_minus_one(lams):

@@ -118,10 +118,10 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
     The default burn-in is 50 units of the slowest low-level rate,
     50 / min(mu_1, gamma_0).  max_state overrides the guard bound (ten times
     the analytic mean + 12 sd range, read from the support table of the
-    stationary law) and exists mainly to exercise the guard.  Rates are
-    evaluated once per level, when the path first reaches it before the
-    horizon (levels 0 and 1 up front); levels the path never reaches are not
-    evaluated, so a bad rate there raises nothing.
+    stationary law), must be a non-negative integer, and exists mainly to
+    exercise the guard.  Rates are evaluated once per level, when the path
+    first reaches it before the horizon (levels 0 and 1 up front); levels the
+    path never reaches are not evaluated, so a bad rate there raises nothing.
 
     Draws come in chunks of _CHUNK holding times and jump coins.  A Python
     loop decides each jump of a chunk from the coins alone; the jump times,
@@ -138,6 +138,8 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
         mean = float(p @ ns)
         sd = math.sqrt(max(float(p @ (ns - mean) ** 2), 0.0))
         max_state = max(int(math.ceil(10.0 * (mean + 12.0 * sd))), 16)
+    elif not (isinstance(max_state, (int, np.integer)) and max_state >= 0):
+        raise DomainError(f"max_state must be a non-negative integer, got {max_state!r}")
 
     up_rate, total_rate = [], []
 
@@ -246,7 +248,7 @@ def run_ctmc(rates, config, policy=DEFAULT_POLICY, max_state=None):
     )
 
 
-def tv_distance(result, target_pmf, policy=DEFAULT_POLICY):
+def tv_distance(result, target_pmf):
     """Total variation distance between sampled occupancy and an analytic PMF.
 
     target_pmf is either an object with a pmf method or a callable on arrays

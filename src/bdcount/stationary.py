@@ -34,10 +34,10 @@ rule, support_settled: support_scan applies it block by block to many laws at
 once; support_table, which keeps one law's log weights, applies it in one
 vectorized step over the table's blocks each time the table doubles.  Ratios
 are held as log lambda_n, so a ratio that would underflow or overflow stays
-finite.  The normalizer of StationaryPMF (WeightedPMF among them), and
-log_ratio_series_sum, is the log mass of a support table too: its log weights
-are the running sum of the log ratios, evaluated a block at a time (one
-log_eval call per block) and probed for divergence.
+finite.  The normalizer log_z of StationaryPMF (WeightedPMF among them) is
+the log mass of a support table too: its log weights are the running sum of
+the log ratios, evaluated a block at a time (one log_eval call per block) and
+probed for divergence.
 """
 
 import functools
@@ -205,18 +205,6 @@ class _LogPrefix:
         return ns, log_w, float(np.logaddexp(_log_mass(log_w), log_tail))
 
 
-def log_ratio_series_sum(ratio, policy=DEFAULT_POLICY):
-    """log of z = 1 + sum_{i>=0} lambda_0*...*lambda_i for a ratio sequence.
-
-    The log_z of StationaryPMF: the log mass of the sequence's support table,
-    cut by support_settled, with its geometric tail.  Raises DivergenceError
-    when limit_hint >= 1 or the ratios stay at or above 1 over a whole probe
-    window, and SeriesCapError when max_terms is exhausted while the ratios
-    still look convergent.
-    """
-    return StationaryPMF(ratio, policy).log_z
-
-
 def as_support(n):
     """Validate and convert support points to an int64 array."""
     ns = np.asarray(n)
@@ -373,6 +361,10 @@ class StationaryPMF:
     first boundary past probe_start where support_settled holds; ns and log_p
     are the cut table [0, top) and its log PMF, and log_z is its log mass with
     the geometric tail past top.  logpmf past the table extends the prefix.
+    Building it raises DivergenceError when limit_hint >= 1 or the ratios
+    stay >= 1 over a probe window, and SeriesCapError when max_terms runs out
+    while they still look convergent.  Its logpmf, pmf and ratio_sequence take
+    the policy argument of the other laws and ignore it: the law keeps its own.
     """
 
     def __init__(self, ratio, policy=DEFAULT_POLICY):
@@ -389,8 +381,11 @@ class StationaryPMF:
         out = self._log_prefix(ns) - self.log_z
         return float(out) if np.ndim(n) == 0 else out
 
-    def pmf(self, n):
+    def pmf(self, n, policy=None):
         return np.exp(self.logpmf(n))
+
+    def ratio_sequence(self, policy=None):
+        return self.ratio
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ from bdcount import (
     equidispersion_contour,
     equidispersion_phi,
     fit_mle,
-    grad_A,
-    hess_A,
     model_pmf,
     model_ratio_sequence,
     modified_ratio,
@@ -35,6 +33,7 @@ from bdcount import (
     run_ctmc,
     sample_counts,
     SimConfig,
+    support_pass,
     tv_distance,
 )
 from conftest import (
@@ -194,14 +193,14 @@ def test_criterion_06_finite_difference_checks():
                 model = InfDefDistribution(model, random_spec(rng, max_point=4))
             cf = canonicalize(model)
             eta = cf.eta
-            g = grad_A(cf, eta)
-            hess = hess_A(cf, eta)
+            res = support_pass(cf, eta)
+            g, hess = res.mean, res.cov
             for j in range(len(eta)):
                 step = np.zeros(len(eta))
                 step[j] = h
                 fd_g = (cf.A(eta + step) - cf.A(eta - step)) / (2.0 * h)
                 worst_g = max(worst_g, abs(fd_g - g[j]))
-                fd_col = (grad_A(cf, eta + step) - grad_A(cf, eta - step)) / (2.0 * h)
+                fd_col = (support_pass(cf, eta + step).mean - support_pass(cf, eta - step).mean) / (2.0 * h)
                 worst_h = max(worst_h, float(np.max(np.abs(fd_col - hess[:, j]))))
     ok = worst_g < 1e-5 and worst_h < 1e-5
     report(

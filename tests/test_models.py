@@ -15,16 +15,20 @@ from bdcount import (
     InflationSpec,
     MixtureModel,
     SeriesPolicy,
+    StationaryPMF,
+    WeightedPMF,
     alpha_from_omega,
     base_pmf,
+    base_ratio_sequence,
+    catalogue_weight,
+    classify_sequence,
+    log_weight_f,
     model_from_document,
-    model_logpmf,
     model_pmf,
     modified_ratio,
     omega_from_alpha,
     omega_from_psi,
     psi_link,
-    weight_f,
 )
 from conftest import random_admissible_omegas, random_base, random_spec
 
@@ -33,9 +37,9 @@ POISSON = BaseDistribution(kind="poisson", lam=2.6)
 
 def test_weight_patterns():
     s2 = InflationSpec(family="type2", points=(0, 2), factors=(1.3, 1.5))
-    assert np.allclose(weight_f(s2, np.arange(5)), [1.95, 1.5, 1.5, 1.0, 1.0], rtol=1e-12)
+    assert np.allclose(np.exp(log_weight_f(s2, np.arange(5))), [1.95, 1.5, 1.5, 1.0, 1.0], rtol=1e-12)
     s1 = InflationSpec(family="type1", points=(2,), factors=(2.0,))
-    assert np.allclose(weight_f(s1, np.arange(5)), [1.0, 1.0, 2.0, 1.0, 1.0], rtol=1e-12)
+    assert np.allclose(np.exp(log_weight_f(s1, np.arange(5))), [1.0, 1.0, 2.0, 1.0, 1.0], rtol=1e-12)
 
 
 def test_spec_validation():
@@ -61,7 +65,7 @@ def test_pmf_matches_brute_force(rng, family):
         spec = random_spec(rng, family=family)
         dist = InfDefDistribution(base, spec)
         ns = np.arange(600)
-        raw = weight_f(spec, ns) * base_pmf(base, ns)
+        raw = np.exp(log_weight_f(spec, ns)) * base_pmf(base, ns)
         expected = raw / raw.sum()
         assert np.max(np.abs(dist.pmf(ns[:100]) - expected[:100])) < 1e-12
 
@@ -98,7 +102,7 @@ def test_type1_type2_same_law_on_full_prefix():
     ## Matching f on F = {0,...,q} makes the two families coincide.
     phis = (1.3, 0.7, 2.1)
     spec2 = InflationSpec(family="type2", points=(0, 1, 2), factors=phis)
-    f_vals = weight_f(spec2, np.arange(3))
+    f_vals = np.exp(log_weight_f(spec2, np.arange(3)))
     spec1 = InflationSpec(family="type1", points=(0, 1, 2), factors=tuple(f_vals))
     ns = np.arange(50)
     assert np.max(np.abs(InfDefDistribution(POISSON, spec1).pmf(ns) - InfDefDistribution(POISSON, spec2).pmf(ns))) < 1e-14
@@ -277,8 +281,8 @@ def test_tiny_cell_mass_is_not_clamped():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert abs(model_logpmf(mix, 0) - math.log(1e-310)) < 1e-10
-        out = model_logpmf(mix, np.array([0, 1, 800]))
+        assert abs(mix.logpmf(0) - math.log(1e-310)) < 1e-10
+        out = mix.logpmf(np.array([0, 1, 800]))
     assert abs(out[0] - math.log(1e-310)) < 1e-10
     assert np.all(np.isfinite(out))
 
@@ -304,7 +308,7 @@ def test_cell_mass_next_to_l2_is_the_checked_one(base, point):
     want = math.log(omega + (1.0 - omega) * b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alone, in_array = model_logpmf(mix, point), model_logpmf(mix, np.arange(2 * point + 1))[point]
+        alone, in_array = mix.logpmf(point), mix.logpmf(np.arange(2 * point + 1))[point]
     assert alone == in_array
     assert abs(alone - want) <= 1e-12 * abs(want)
 
@@ -403,3 +407,26 @@ def test_point_mass_mixture_roundtrip_at_the_default_policy():
     assert np.allclose(mix.omegas, (-5824.0, -70.6), rtol=2e-3)
     back = MixtureModel.from_type1(mix.as_type1(), "multiple_inflation")
     assert np.all(np.abs(np.asarray(back.omegas) - mix.omegas) <= 1e-10 * np.abs(mix.omegas))
+
+
+## One law of each kind, with the verdict classify_sequence gives its ratios.
+INTERFACE_LAWS = [
+    (POISSON, "constant"),
+    (InfDefDistribution(POISSON, InflationSpec(family="type2", points=(2,), factors=(0.5,))), "non_monotonic"),
+    (MixtureModel(base=POISSON, variant="zero_inflated", omegas=(0.2,)), "increasing"),
+    (StationaryPMF(base_ratio_sequence(BaseDistribution(kind="geometric", lam=0.6))), "increasing"),
+    (WeightedPMF(POISSON, catalogue_weight("squared_exponential", tau=0.3)), "decreasing"),
+]
+
+
+@pytest.mark.parametrize("law, verdict", INTERFACE_LAWS, ids=[type(law).__name__ for law, _ in INTERFACE_LAWS])
+def test_every_law_answers_the_model_interface(law, verdict):
+    ns, policy = np.arange(40), SeriesPolicy(rel_tol=1e-12)
+    log_p = law.logpmf(ns, policy)
+    p = law.pmf(ns, policy)
+    assert np.array_equal(p, np.exp(log_p))
+    assert np.array_equal(model_pmf(law, ns, policy), p)
+    ## the ratios are the law's own: lambda_n = p(n+1) / p(n)
+    ratios = law.ratio_sequence(policy).eval(ns[:-1])
+    assert np.max(np.abs(ratios / np.exp(np.diff(log_p)) - 1.0)) < 1e-12
+    assert classify_sequence(law).verdict == verdict

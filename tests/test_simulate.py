@@ -163,6 +163,13 @@ def test_occupancy_normalizes():
     assert abs(result.weights.sum() - 100.0) < 1e-9
 
 
+@pytest.mark.parametrize("max_state", [-5, 2.5])
+def test_max_state_must_be_a_non_negative_integer(max_state):
+    rates = canonical_rates(base_ratio_sequence(POISSON))
+    with pytest.raises(DomainError, match="max_state"):
+        run_ctmc(rates, SimConfig(seed=0, sample_time=10.0), max_state=max_state)
+
+
 def test_zero_rate_rejected():
     rates = BirthDeathRates(birth=lambda n: 0.0, death=lambda n: 1.0)
     with pytest.raises(DomainError):

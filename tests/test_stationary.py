@@ -24,7 +24,6 @@ from bdcount import (
     base_ratio_sequence,
     canonicalize,
     catalogue_weight,
-    log_ratio_series_sum,
 )
 from bdcount.stationary import (
     _LGAMMA_FEW,
@@ -136,18 +135,18 @@ def test_invalid_base_parameters_rejected(kwargs):
 def test_divergent_constant_ratio():
     for lam in (1.0, 1.1):
         with pytest.raises(DivergenceError):
-            log_ratio_series_sum(RatioSequence(eval=lambda n, lam=lam: lam))
+            StationaryPMF(RatioSequence(eval=lambda n, lam=lam: lam)).log_z
 
 
 def test_divergence_via_limit_hint():
     with pytest.raises(DivergenceError):
-        log_ratio_series_sum(RatioSequence(eval=lambda n: 0.5, limit_hint=1.2))
+        StationaryPMF(RatioSequence(eval=lambda n: 0.5, limit_hint=1.2)).log_z
 
 
 def test_series_cap_on_slow_convergence():
     seq = RatioSequence(eval=lambda n: 1.0 - 1e-9)
     with pytest.raises(SeriesCapError):
-        log_ratio_series_sum(seq, SeriesPolicy(rel_tol=1e-10, max_terms=2000))
+        StationaryPMF(seq, SeriesPolicy(rel_tol=1e-10, max_terms=2000)).log_z
 
 
 @st.composite
@@ -201,7 +200,7 @@ def test_weighted_steep_cmp_matches_direct_normalization():
 def test_probe_start_allows_large_head_ratios():
     ## Ratios above 1 on a finite head must not trip the divergence probe.
     seq = RatioSequence(eval=lambda n: 5.0 if n < 100 else 0.2, probe_start=100)
-    log_z = log_ratio_series_sum(seq)
+    log_z = StationaryPMF(seq).log_z
     assert math.isfinite(log_z)
     pmf = StationaryPMF(seq)
     assert abs(pmf.pmf(np.arange(200)).sum() - 1.0) < 1e-9
@@ -209,12 +208,12 @@ def test_probe_start_allows_large_head_ratios():
 
 def test_geometric_series_closed_value():
     seq = base_ratio_sequence(BaseDistribution(kind="geometric", lam=0.6))
-    assert abs(log_ratio_series_sum(seq) - math.log(1.0 / 0.4)) < 1e-10
+    assert abs(StationaryPMF(seq).log_z - math.log(1.0 / 0.4)) < 1e-10
 
 
 def test_negative_ratio_rejected():
     with pytest.raises(DomainError):
-        log_ratio_series_sum(RatioSequence(eval=lambda n: -0.5))
+        StationaryPMF(RatioSequence(eval=lambda n: -0.5)).log_z
 
 
 def test_support_validation():
