@@ -26,6 +26,7 @@ means overdispersed, decreasing underdispersed, constant equidispersed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,11 @@ def dispersion_surface(kind, q, lambda_grid, phi_grid, family="type2", r=None, t
     Returns an array of shape (len(lambda_grid), len(phi_grid)).  The lam-only
     work (base moments, cell sums) is done once per lam for the whole grid, and
     phi enters only through array arithmetic.  Poisson-Lindley keeps the
-    per-node direct-summation fallback of moments_closed.
+    per-node direct-summation fallback of moments_closed.  A q that is not a
+    non-negative integer raises DomainError.
     """
+    if not (0 <= q < math.inf and int(q) == q):
+        raise DomainError(f"q must be a non-negative integer, got {q}")
     lams = np.asarray(lambda_grid, dtype=float)
     phis = np.asarray(phi_grid, dtype=float)
     out = np.full((len(lams), len(phis)), np.nan)
@@ -245,6 +249,11 @@ def dispersion_surface(kind, q, lambda_grid, phi_grid, family="type2", r=None, t
     return out
 
 
+## Bisection levels resolved by each dispersion_surface call of a contour: an
+## open bracket sends its 2**_TREE_DEPTH - 1 candidate midpoints at once.
+_TREE_DEPTH = 5
+
+
 @dataclass(frozen=True)
 class ContourResult:
     roots: tuple
@@ -268,11 +277,22 @@ def equidispersion_contour(
     """Roots in lam of dispersion_index(lam) = 1 at fixed phi.
 
     Scans subintervals for sign changes of index - 1, then bisects each
-    bracket to xtol.  When the index is 1 everywhere on the scan (the phi = 1
-    Poisson line), returns degenerate=True and no roots.
+    bracket to xtol.  Each dispersion_surface call after the scan evaluates,
+    for every open bracket, the _TREE_DEPTH levels of midpoints its bisection
+    could visit next, each formed as (lo + hi) / 2; walking them with
+    bisection's rules gives roots bit-identical to one call per step.  A
+    bracket also stops where the index is undefined at its midpoint or the
+    midpoint equals an end.  When the index is 1 everywhere on the scan (the
+    phi = 1 Poisson line), returns degenerate=True and no roots.  Raises
+    DomainError unless xtol is finite and positive, subintervals is a
+    positive integer and q a non-negative integer.
     """
     if not (0.0 < lambda_lo < lambda_hi < math.inf):
         raise DomainError(f"need 0 < lambda_lo < lambda_hi < inf, got ({lambda_lo}, {lambda_hi})")
+    if not (0.0 < xtol < math.inf):
+        raise DomainError(f"xtol must be a positive finite real, got {xtol}")
+    if not (isinstance(subintervals, numbers.Integral) and subintervals > 0):
+        raise DomainError(f"subintervals must be a positive integer, got {subintervals}")
     xs = np.linspace(lambda_lo, lambda_hi, subintervals + 1)
 
     def index_minus_one(lams):
@@ -285,21 +305,30 @@ def equidispersion_contour(
     fa, fb = vals[:-1], vals[1:]
     ok = np.isfinite(fa) & np.isfinite(fb)
     cross = ok & (fa * fb < 0.0)
-    ## All brackets are bisected together, one surface call per step; a bracket
-    ## stops early where the index is undefined at its midpoint.
     lo, hi, flo = xs[:-1][cross], xs[1:][cross], fa[cross]
     live = hi - lo > xtol
     while live.any():
         idx = np.flatnonzero(live)
-        mid = (lo[idx] + hi[idx]) / 2.0
-        fm = index_minus_one(mid)
-        good = np.isfinite(fm)
-        left = good & (flo[idx] * fm <= 0.0)
-        right = good & ~left
-        hi[idx[left]] = mid[left]
-        lo[idx[right]], flo[idx[right]] = mid[right], fm[right]
-        live[idx[~good]] = False
-        live &= hi - lo > xtol
+        ## Each open bracket's midpoint subtree, level by level from the edges
+        ## that bisection could reach; in this heap order node j's halves are
+        ## nodes 2j + 1 and 2j + 2.
+        edges, levels = np.stack([lo[idx], hi[idx]], axis=1), []
+        for _ in range(_TREE_DEPTH):
+            levels.append((edges[:, :-1] + edges[:, 1:]) / 2.0)
+            edges = np.insert(edges, np.arange(1, edges.shape[1]), levels[-1], axis=1)
+        mids = np.concatenate(levels, axis=1)
+        fms = index_minus_one(mids.ravel()).reshape(mids.shape)
+        node, rows = np.zeros(len(idx), dtype=np.intp), np.arange(len(idx))
+        for _ in range(_TREE_DEPTH):
+            mid, fm = mids[rows, node], fms[rows, node]
+            step = live[idx] & np.isfinite(fm) & (lo[idx] < mid) & (mid < hi[idx])
+            left = step & (flo[idx] * fm <= 0.0)
+            right = step & ~left
+            hi[idx[left]] = mid[left]
+            lo[idx[right]], flo[idx[right]] = mid[right], fm[right]
+            live[idx[~step]] = False
+            live &= hi - lo > xtol
+            node = 2 * node + 1 + right
     roots = sorted(xs[:-1][ok & (fa == 0.0)].tolist() + ((lo + hi) / 2.0).tolist())
     if np.isfinite(vals[-1]) and vals[-1] == 0.0:
         roots.append(float(xs[-1]))

@@ -492,8 +492,11 @@ def test_non_utf8_input_exits_2(tmp_path, argv, content):
         (("fit", "--kind", "negative_binomial", "--profile", "r", "--profile-grid", "1,x", "--data", "{data}"),
          "--profile-grid"),
         (("simulate", "--seed", "1", "--max-state", "-5", "--spec", "{spec}"), "max_state"),
+        (("surface", "--kind", "poisson", "--q", "-2", "--phi-grid", "0.5:2:3", "--lambda-grid", "0.5:2:3"), "q must"),
+        (("contour", "--kind", "poisson", "--q", "-2", "--phi", "0.5", "--lambda-range", "0.5:5"), "q must"),
     ],
-    ids=["grid-n", "grid-cell", "grid-inf", "range", "range-inf", "points", "profile-grid", "max-state"],
+    ids=["grid-n", "grid-cell", "grid-inf", "range", "range-inf", "points", "profile-grid", "max-state", "surface-q",
+         "contour-q"],
 )
 def test_unparsable_arguments_exit_2(tmp_path, argv, message):
     data = tmp_path / "counts.csv"

@@ -20,6 +20,7 @@ from bdcount import (
     moments_closed,
     moments_direct,
 )
+from bdcount import DomainError, moments
 from bdcount.moments import dispersion_index_at
 from bdcount.stationary import log_rate
 from conftest import EF_KINDS, random_base, random_spec
@@ -267,6 +268,111 @@ def test_contour_cmp_two_roots():
     assert len(res.roots) == 2
     assert abs(res.roots[0] - 0.237) < 5e-3
     assert abs(res.roots[1] - 2.159) < 5e-3
+
+
+def _bisection_roots(kind, q, phi, lambda_lo, lambda_hi, family="type2", xtol=1e-6, **shape):
+    ## The one-call-per-step bisection that equidispersion_contour's subtree
+    ## walk replaced, kept as its reference (for scans that are not degenerate).
+    xs = np.linspace(lambda_lo, lambda_hi, 401)
+
+    def index_minus_one(lams):
+        return moments.dispersion_surface(kind, q, lams, [phi], family, **shape)[:, 0] - 1.0
+
+    vals = index_minus_one(xs)
+    fa, fb = vals[:-1], vals[1:]
+    ok = np.isfinite(fa) & np.isfinite(fb)
+    cross = ok & (fa * fb < 0.0)
+    lo, hi, flo = xs[:-1][cross], xs[1:][cross], fa[cross]
+    live = hi - lo > xtol
+    while live.any():
+        idx = np.flatnonzero(live)
+        mid = (lo[idx] + hi[idx]) / 2.0
+        fm = index_minus_one(mid)
+        good = np.isfinite(fm)
+        left = good & (flo[idx] * fm <= 0.0)
+        right = good & ~left
+        hi[idx[left]] = mid[left]
+        lo[idx[right]], flo[idx[right]] = mid[right], fm[right]
+        live[idx[~good]] = False
+        live &= hi - lo > xtol
+    roots = sorted(xs[:-1][ok & (fa == 0.0)].tolist() + ((lo + hi) / 2.0).tolist())
+    if np.isfinite(vals[-1]) and vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    dedup = []
+    for root in roots:
+        if not dedup or abs(root - dedup[-1]) > 10.0 * xtol:
+            dedup.append(root)
+    return tuple(dedup)
+
+
+CONTOUR_SHAPES = {"poisson": {}, "negative_binomial": {"r": 40.0}, "cmp": {"nu": 1.1}, "hyper_poisson": {"tau": 1.7}}
+
+
+@pytest.mark.parametrize("family", ["type1", "type2"])
+@pytest.mark.parametrize("kind", sorted(CONTOUR_SHAPES))
+def test_contour_roots_equal_bisection(kind, family):
+    shape, rooted = CONTOUR_SHAPES[kind], 0
+    for q in (2, 3, 5):
+        for phi in (0.2, 0.5, 2.0, 5.0):
+            res = equidispersion_contour(kind, q, phi, 0.05, 8.0, family=family, **shape)
+            assert res.roots == _bisection_roots(kind, q, phi, 0.05, 8.0, family=family, **shape), (q, phi)
+            rooted += len(res.roots) > 0
+    assert rooted > 0
+
+
+def test_contour_stops_at_undefined_midpoint_like_bisection(monkeypatch):
+    ## The index is NaN on a short interval next to the lower of two roots, so
+    ## that bracket stops partway down its bisection while the other goes on.
+    args = ("cmp", 3, 0.2, 0.05, 8.0)
+    clean = equidispersion_contour(*args, nu=1.1).roots
+    surface = moments.dispersion_surface
+
+    def holed(kind, q, lams, phis, *rest, **kwargs):
+        out = surface(kind, q, lams, phis, *rest, **kwargs)
+        out[(lams > clean[0] - 1e-5) & (lams < clean[0] + 3e-5)] = np.nan
+        return out
+
+    monkeypatch.setattr(moments, "dispersion_surface", holed)
+    res = equidispersion_contour(*args, nu=1.1)
+    assert res.roots == _bisection_roots(*args, nu=1.1)
+    assert len(res.roots) == 2 and res.roots[0] != clean[0] and res.roots[1] == clean[1]
+
+
+def test_contour_makes_four_surface_calls(monkeypatch):
+    calls = []
+    surface = moments.dispersion_surface
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[2]))
+        return surface(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "dispersion_surface", spy)
+    assert len(equidispersion_contour("cmp", 3, 0.2, 0.05, 8.0, nu=1.1).roots) == 2
+    assert len(calls) <= 4
+
+
+def test_contour_ends_at_a_tolerance_below_float_spacing():
+    ## Below the spacing of floats near the root, a bracket closes once its
+    ## midpoint equals one of its ends.
+    res = equidispersion_contour("poisson", 3, 0.2, 0.05, 8.0, xtol=1e-300)
+    assert len(res.roots) == 1
+    assert abs(res.roots[0] - equidispersion_contour("poisson", 3, 0.2, 0.05, 8.0).roots[0]) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "q, kwargs",
+    [(3, {"xtol": 0.0}), (3, {"xtol": -1.0}), (3, {"xtol": math.nan}), (3, {"subintervals": 0}),
+     (3, {"subintervals": -3}), (-2, {}), (2.5, {})],
+)
+def test_contour_rejects_bad_arguments(q, kwargs):
+    with pytest.raises(DomainError):
+        equidispersion_contour("poisson", q, 0.2, 0.05, 8.0, **kwargs)
+
+
+@pytest.mark.parametrize("q", [-2, 2.5])
+def test_dispersion_surface_rejects_bad_q(q):
+    with pytest.raises(DomainError, match="q must be a non-negative integer"):
+        dispersion_surface("poisson", q, [0.5, 2.0], [0.5, 2.0])
 
 
 def test_contour_degenerate_on_poisson_line():
