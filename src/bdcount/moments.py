@@ -12,7 +12,7 @@ and a type 2 model the same with (alpha_i - 1) b(n_i) replaced by
 
 Direct summation provides the full MomentSummary (including skewness,
 kurtosis, and the central-band kurtosis contribution restricted to
-|n - mean| <= sd) and the fallback for the Poisson-Lindley base.
+|n - mean| <= sd).
 
 A Poisson base perturbed at the single point q with
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, SeriesCapError
+from .errors import DomainError, SeriesCapError
 from .models import (
     _Z_SUBTRACT,
     InfDefDistribution,
@@ -70,7 +70,6 @@ class MomentSummary:
 class ClosedMoments:
     mean: float
     variance: float
-    used_direct_fallback: bool = False
 
 
 ## Rows evaluated together, so that a (rows, SUPPORT_BLOCK) float table stays
@@ -113,7 +112,8 @@ def _closed_moments(kind, lams, shape, family, points, log_f, policy):
     the level sums, except on rows where some z < _Z_SUBTRACT: there a support
     scan sums the terms off the levels, so z has no cancellation.  Hyper-Poisson
     and CMP take E_b, V_b and their normalizer from one support scan per row; a
-    row whose scan passes policy.max_terms is NaN.
+    row whose scan passes policy.max_terms is NaN.  The other laws have closed
+    E_b, V_b; the Poisson-Lindley's are Sankaran's (1970) with theta = (1 - lam) / lam.
     """
     lam = lams[:, None]
     ks, owner = level_cells(family, points)
@@ -125,10 +125,14 @@ def _closed_moments(kind, lams, shape, family, points, log_f, policy):
             lambda ns, idx: log_kernel(kind, lam[idx], ns, **shape), len(lams), policy
         )
         log_b = log_b - log_norm[:, None]
+    elif kind == "poisson":
+        center, v_b = lams, lams
+    elif kind == "poisson_lindley":
+        center, v_b = lams * (1.0 + lams) / (1.0 - lams), lams * (1.0 + lams + lams**2 - lams**3) / (1.0 - lams) ** 2
     else:
         r = shape.get("r", 1.0)  # the geometric law is the negative binomial with r = 1
         p = lams / r
-        center, v_b = (lams, lams) if kind == "poisson" else (r * p / (1.0 - p), r * p / (1.0 - p) ** 2)
+        center, v_b = r * p / (1.0 - p), r * p / (1.0 - p) ** 2
 
     b = np.exp(log_b)
     dev = ks - center[:, None]
@@ -154,17 +158,12 @@ def moments_closed(model, policy=DEFAULT_POLICY):
     """Mean and variance via the finite perturbation corrections.
 
     A mixture takes the moments of its type 1 law (MixtureModel.as_type1).
-    The Poisson-Lindley base carries no usable moment decomposition here and
-    falls back to direct summation, reported through used_direct_fallback.
     """
     if isinstance(model, MixtureModel):
         model = model.as_type1(policy)
     if not isinstance(model, (BaseDistribution, InfDefDistribution)):
         raise DomainError(f"moments_closed expects a base, perturbed or mixture model, got {type(model).__name__}")
     base, spec = (model.base, model.spec) if isinstance(model, InfDefDistribution) else (model, None)
-    if base.kind == "poisson_lindley":
-        summ = moments_direct(model, policy)
-        return ClosedMoments(summ.mean, summ.variance, used_direct_fallback=True)
     if spec is None:
         family, points, log_f = "type1", (), np.zeros((0, 1))
     else:
@@ -183,16 +182,31 @@ def equidispersion_phi(lam, q):
 
     The resulting law has mean and variance both equal to q.  The value is
     strictly positive (the denominator exceeds q - lam) but approaches 0 as
-    lam does, so rounding can land on 0 for extreme inputs.
+    lam does, so rounding can land on 0 for extreme inputs.  Raises DomainError
+    unless q is an integer in [1, DEFAULT_POLICY.max_terms) and lam a positive
+    finite real, and where phi overflows a float (lam past about 740 for q = 2).
     """
-    if int(q) != q or q < 1:
-        raise DomainError(f"q must be a positive integer, got {q}")
+    q = _check_q(q, 1, DEFAULT_POLICY)
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"lam must be a positive finite real, got {lam}")
-    ks = np.arange(int(q))
-    ## denominator: sum_{k<q} (q - k) lam^k e^-lam / k!
+    ks = np.arange(q)
+    ## denominator: sum_{k<q} (q - k) lam^k e^-lam / k!, which underflows to 0 for a large lam
     denom = float((q - ks) @ np.exp(log_kernel("poisson", lam, ks)))
-    return 1.0 + (lam - q) / denom
+    phi = 1.0 + (lam - q) / denom if denom > 0.0 else math.inf
+    if math.isinf(phi):
+        raise DomainError(f"phi overflows a float at lam={lam}, q={q}")
+    return phi
+
+
+def _check_q(q, least, policy):
+    """q as an int if it is an integer in [least, policy.max_terms), else DomainError.
+
+    No support table reaches a level at or past policy.max_terms.
+    """
+    if not (least <= q < policy.max_terms and int(q) == q):
+        sign = "positive" if least else "non-negative"
+        raise DomainError(f"q must be a {sign} integer below max_terms={policy.max_terms}, got {q}")
+    return int(q)
 
 
 def _shape_kwargs(kind, r, tau, nu):
@@ -200,46 +214,29 @@ def _shape_kwargs(kind, r, tau, nu):
     return {name: {"r": r, "tau": tau, "nu": nu}[name]} if name else {}
 
 
-def dispersion_index_at(kind, q, lam, phi, family="type2", r=None, tau=None, nu=None, policy=DEFAULT_POLICY):
-    """Variance-to-mean ratio of a single-point perturbation at q."""
-    base = BaseDistribution(kind=kind, lam=lam, **_shape_kwargs(kind, r, tau, nu))
-    spec = InflationSpec(family=family, points=(int(q),), factors=(phi,))
-    mom = moments_closed(InfDefDistribution(base, spec, policy), policy)
-    return mom.variance / mom.mean
-
-
 def dispersion_surface(kind, q, lambda_grid, phi_grid, family="type2", r=None, tau=None, nu=None, policy=DEFAULT_POLICY):
     """Dispersion index over a (lam, phi) grid; inadmissible nodes are NaN.
 
     Returns an array of shape (len(lambda_grid), len(phi_grid)).  The lam-only
     work (base moments, cell sums) is done once per lam for the whole grid, and
-    phi enters only through array arithmetic.  Poisson-Lindley keeps the
-    per-node direct-summation fallback of moments_closed.  A q that is not a
-    non-negative integer raises DomainError.
+    phi enters only through array arithmetic.  A q that is not an integer in
+    [0, policy.max_terms) or an unknown family raises DomainError; a bad kind
+    or shape parameter gives an all-NaN grid.
     """
-    if not (0 <= q < math.inf and int(q) == q):
-        raise DomainError(f"q must be a non-negative integer, got {q}")
+    q = _check_q(q, 0, policy)
+    spec = InflationSpec(family=family, points=(q,), factors=(1.0,))
     lams = np.asarray(lambda_grid, dtype=float)
     phis = np.asarray(phi_grid, dtype=float)
     out = np.full((len(lams), len(phis)), np.nan)
-    if kind == "poisson_lindley":
-        for i, lam in enumerate(lams):
-            for j, phi in enumerate(phis):
-                try:
-                    out[i, j] = dispersion_index_at(kind, q, lam, phi, family, r, tau, nu, policy)
-                except (DomainError, DivergenceError, SeriesCapError, ArithmeticError):
-                    pass
-        return out
     shape = _shape_kwargs(kind, r, tau, nu)
     try:
         check_kind_shape(kind, **shape)
-        spec = InflationSpec(family=family, points=(int(q),), factors=(1.0,))
     except DomainError:
         return out
     rows = np.flatnonzero(np.isfinite(lams) & (lams > 0.0) & (lams < lam_upper(kind, r)))
     cols = np.isfinite(phis) & (phis > 0.0)
     log_f = log_levels(family, np.log(np.where(cols, phis, 1.0))[None, :])
-    cells = int(q) + 1 if family == "type2" else 1  # the block 0..q, or the cell q
+    cells = q + 1 if family == "type2" else 1  # the block 0..q, or the cell q
     step = max(1, _MAX_ROWS * SUPPORT_BLOCK // max(SUPPORT_BLOCK, cells))
     for lo in range(0, len(rows), step):
         idx = rows[lo : lo + step]

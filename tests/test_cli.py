@@ -494,9 +494,10 @@ def test_non_utf8_input_exits_2(tmp_path, argv, content):
         (("simulate", "--seed", "1", "--max-state", "-5", "--spec", "{spec}"), "max_state"),
         (("surface", "--kind", "poisson", "--q", "-2", "--phi-grid", "0.5:2:3", "--lambda-grid", "0.5:2:3"), "q must"),
         (("contour", "--kind", "poisson", "--q", "-2", "--phi", "0.5", "--lambda-range", "0.5:5"), "q must"),
+        (("equiphi", "--lambda", "1e308", "--q", "2"), "phi overflows"),
     ],
     ids=["grid-n", "grid-cell", "grid-inf", "range", "range-inf", "points", "profile-grid", "max-state", "surface-q",
-         "contour-q"],
+         "contour-q", "equiphi-overflow"],
 )
 def test_unparsable_arguments_exit_2(tmp_path, argv, message):
     data = tmp_path / "counts.csv"

@@ -21,9 +21,8 @@ from bdcount import (
     moments_direct,
 )
 from bdcount import DomainError, moments
-from bdcount.moments import dispersion_index_at
-from bdcount.stationary import log_rate
-from conftest import EF_KINDS, random_base, random_spec
+from bdcount.stationary import DEFAULT_POLICY, SeriesPolicy, log_rate
+from conftest import ALL_KINDS, EF_KINDS, random_base, random_spec
 
 
 def test_base_closed_moments():
@@ -33,18 +32,43 @@ def test_base_closed_moments():
     assert abs(poi.mean - 2.5) < 1e-12 and abs(poi.variance - 2.5) < 1e-12
     nb = moments_closed(BaseDistribution(kind="negative_binomial", lam=1.8, r=3.0))
     assert abs(nb.mean - 4.5) < 1e-12 and abs(nb.variance - 11.25) < 1e-12
-    assert not geo.used_direct_fallback
 
 
-def test_poisson_lindley_fallback_flag():
-    base = BaseDistribution(kind="poisson_lindley", lam=0.5)
-    mom = moments_closed(base)
-    assert mom.used_direct_fallback
-    direct = moments_direct(base)
-    assert abs(mom.mean - direct.mean) < 1e-12
-    spec = InflationSpec(family="type1", points=(1,), factors=(2.0,))
-    mom2 = moments_closed(InfDefDistribution(base, spec))
-    assert mom2.used_direct_fallback
+@pytest.mark.parametrize("lam", [0.05, 0.5, 0.9, 0.99, 0.999])
+def test_poisson_lindley_closed_moments_sankaran_form(lam):
+    ## Sankaran (1970): with theta = (1 - lam) / lam the mean is
+    ## (theta + 2) / (theta (theta + 1)) and the variance
+    ## (theta^3 + 4 theta^2 + 6 theta + 2) / (theta^2 (theta + 1)^2).
+    theta = (1.0 - lam) / lam
+    mean = (theta + 2.0) / (theta * (theta + 1.0))
+    var = (theta**3 + 4.0 * theta**2 + 6.0 * theta + 2.0) / (theta**2 * (theta + 1.0) ** 2)
+    mom = moments_closed(BaseDistribution(kind="poisson_lindley", lam=lam))
+    assert abs(mom.mean - mean) <= 1e-13 * mean
+    assert abs(mom.variance - var) <= 1e-13 * var
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_moments_take_one_route(kind, rng, monkeypatch):
+    ## No law falls back to direct summation: closed moments, surfaces and
+    ## contours all succeed with moments_direct gone.
+    def direct(*args, **kwargs):
+        raise AssertionError("moments_direct called")
+
+    monkeypatch.setattr(moments, "moments_direct", direct)
+    base = random_base(rng, kinds=(kind,))
+    shape = {name: getattr(base, name) for name in ("r", "tau", "nu") if getattr(base, name) is not None}
+    models = [
+        base,
+        InfDefDistribution(base, InflationSpec(family="type1", points=(0, 2), factors=(0.5, 2.0))),
+        InfDefDistribution(base, InflationSpec(family="type2", points=(1, 3), factors=(1.5, 0.7))),
+        MixtureModel(base=base, variant="zero_inflated", omegas=(0.2,)),
+    ]
+    for model in models:
+        mom = moments_closed(model)
+        assert mom.mean > 0.0 and mom.variance > 0.0
+    lams = [0.5 * base.lam, base.lam]
+    assert np.all(np.isfinite(dispersion_surface(kind, 2, lams, [0.5, 2.0], **shape)))
+    assert not equidispersion_contour(kind, 2, 0.5, 0.5 * base.lam, base.lam, subintervals=8, **shape).degenerate
 
 
 def test_closed_matches_direct_random(rng):
@@ -60,6 +84,7 @@ def test_closed_matches_direct_random(rng):
         MixtureModel(base=nb, variant="hurdle", pi=0.3),
         MixtureModel(base=nb, variant="haslett", psi=-0.7),
     ]
+    models += [InfDefDistribution(random_base(rng, kinds=("poisson_lindley",)), random_spec(rng)) for _ in range(8)]
     for model in models:
         closed = moments_closed(model)
         direct = moments_direct(model)
@@ -73,6 +98,7 @@ def test_closed_matches_direct_random(rng):
         (BaseDistribution(kind="geometric", lam=0.02), "type2", 3),
         (BaseDistribution(kind="hyper_poisson", lam=0.359, tau=1.7), "type2", 5),
         (BaseDistribution(kind="poisson", lam=0.05), "type1", 0),
+        (BaseDistribution(kind="poisson_lindley", lam=0.02), "type2", 3),
     ],
 )
 def test_closed_moments_when_levels_hold_nearly_all_mass(base, family, q):
@@ -195,7 +221,7 @@ def test_dispersion_surface_at_large_q(kind, index):
     ## A type-2 block past 2048 * SUPPORT_BLOCK cells still gets a row at a
     ## time; with the base mass all inside the block, scaling it leaves the
     ## base dispersion index.
-    grid = dispersion_surface(kind, 140_000, [0.5, 0.5], [0.5, 2.0])
+    grid = dispersion_surface(kind, 140_000, [0.5, 0.5], [0.5, 2.0], policy=SeriesPolicy(max_terms=200_000))
     assert np.all(np.abs(grid - index) <= 1e-12 * index)
 
 
@@ -222,9 +248,11 @@ def _surface_shape(kind):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5])
 @pytest.mark.parametrize("family", ["type1", "type2"])
-@pytest.mark.parametrize("kind", EF_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_dispersion_surface_matches_direct(kind, family, q):
-    lams = {"geometric": [0.1, 0.45, 0.8], "negative_binomial": [0.4, 1.9, 3.6]}.get(kind, [0.3, 2.2, 6.5])
+    lams = {"geometric": [0.1, 0.45, 0.8], "poisson_lindley": [0.1, 0.45, 0.8], "negative_binomial": [0.4, 1.9, 3.6]}.get(
+        kind, [0.3, 2.2, 6.5]
+    )
     phis = [0.2, 0.9, 1.0, 2.7]
     grid = dispersion_surface(kind, q, lams, phis, family=family, **_surface_shape(kind))
     for i, lam in enumerate(lams):
@@ -237,17 +265,19 @@ def test_dispersion_surface_matches_direct(kind, family, q):
 
 @settings(max_examples=40)
 @given(
-    kind=st.sampled_from(EF_KINDS),
+    kind=st.sampled_from(ALL_KINDS),
     family=st.sampled_from(["type1", "type2"]),
     q=st.integers(0, 8),
     u=st.floats(0.01, 0.99),
     phi=st.floats(1e-3, 50.0),
 )
 def test_surface_node_equals_single_lambda_call(kind, family, q, u, phi):
-    lam = {"geometric": u, "negative_binomial": 4.0 * u}.get(kind, 12.0 * u)
+    lam = {"geometric": u, "poisson_lindley": u, "negative_binomial": 4.0 * u}.get(kind, 12.0 * u)
     shape = _surface_shape(kind)
     node = dispersion_surface(kind, q, [0.5 * lam, lam], [1.0, phi], family=family, **shape)[1, 1]
-    single = dispersion_index_at(kind, q, lam, phi, family=family, **shape)
+    base = BaseDistribution(kind=kind, lam=lam, **shape)
+    mom = moments_closed(InfDefDistribution(base, InflationSpec(family=family, points=(q,), factors=(phi,))))
+    single = mom.variance / mom.mean
     assert abs(node - single) <= 1e-12 * abs(single)
     ## eta_0 of a node (an array of lam) is that of a single lam, bit for bit
     r = shape.get("r")
@@ -362,17 +392,34 @@ def test_contour_ends_at_a_tolerance_below_float_spacing():
 @pytest.mark.parametrize(
     "q, kwargs",
     [(3, {"xtol": 0.0}), (3, {"xtol": -1.0}), (3, {"xtol": math.nan}), (3, {"subintervals": 0}),
-     (3, {"subintervals": -3}), (-2, {}), (2.5, {})],
+     (3, {"subintervals": -3}), (-2, {}), (2.5, {}), (1000, {"policy": SeriesPolicy(max_terms=1000)})],
 )
 def test_contour_rejects_bad_arguments(q, kwargs):
     with pytest.raises(DomainError):
         equidispersion_contour("poisson", q, 0.2, 0.05, 8.0, **kwargs)
 
 
-@pytest.mark.parametrize("q", [-2, 2.5])
+@pytest.mark.parametrize("q", [-2, 2.5, math.nan, math.inf, 1e308, DEFAULT_POLICY.max_terms])
 def test_dispersion_surface_rejects_bad_q(q):
     with pytest.raises(DomainError, match="q must be a non-negative integer"):
         dispersion_surface("poisson", q, [0.5, 2.0], [0.5, 2.0])
+
+
+@pytest.mark.parametrize(
+    "lam, q", [(1.0, math.nan), (1.0, math.inf), (1.0, 2.5), (1.0, DEFAULT_POLICY.max_terms), (1e308, 2), (740.0, 2)]
+)
+def test_equidispersion_phi_rejects(lam, q):
+    ## q outside [1, max_terms), or a phi that overflows a float: at lam = 740
+    ## the quotient is inf, at 1e308 its denominator underflows to 0.
+    with pytest.raises(DomainError):
+        equidispersion_phi(lam, q)
+
+
+def test_unknown_family_raises():
+    with pytest.raises(DomainError, match="family must be one of"):
+        dispersion_surface("poisson", 2, [0.5, 1.0], [0.5, 2.0], family="type3")
+    with pytest.raises(DomainError, match="family must be one of"):
+        equidispersion_contour("poisson", 3, 0.2, 0.05, 8.0, family="type3")
 
 
 def test_contour_degenerate_on_poisson_line():
