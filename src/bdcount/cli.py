@@ -207,12 +207,11 @@ def read_count_data(path):
 
 
 def _shape_kwargs_from(args, kind):
+    """The shape flags given; the library rejects one that kind does not take."""
     name = SHAPE_PARAM.get(kind)
-    if name is None:
-        return {}
-    if getattr(args, name) is None:
+    if name is not None and getattr(args, name) is None:
         raise DomainError(f"{kind} requires --{name}")
-    return {name: getattr(args, name)}
+    return {other: getattr(args, other) for other in ("r", "tau", "nu") if getattr(args, other) is not None}
 
 
 def _fit_template(args, policy):
@@ -260,7 +259,7 @@ def cmd_fit(args):
         "sample_size": sample.size,
     }
     if result.nuisance is not None:
-        doc["nuisance"] = {"name": result.nuisance[0], "value": result.nuisance[1]}
+        doc["nuisance"] = {"name": result.nuisance[0], "value": result.nuisance[1], "se": result.nuisance_se}
     if result.boundary is not None:
         doc["boundary"] = {"name": result.boundary[0], "side": result.boundary[1]}
     if args.format == "csv":

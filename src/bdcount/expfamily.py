@@ -25,13 +25,12 @@ weights h(n) exp(T(n).eta) and reads from it A (the table's log mass) with its
 gradient and Hessian (the mean and covariance of T(N)), so all three come from
 one truncation.  T is built once, block by block as the table grows: the
 blocks give the weights and then the mean and covariance.  Callers read the
-gradient and Hessian of A as the pass's mean and cov, and shape_mean, the
-derivative of A in a carrier shape (r, tau) at fixed eta, as the mean of
-d log h(N) / d shape under its weights.  Passes are memoized per eta, so a
-derivative read at a fitted eta costs no second pass.  CanonicalForm.A instead
-adds the base's log_norm (a closed form, or the log mass of the base's own
-support table) to the perturbation's log z, and agrees with the pass to the
-tables' tolerance.
+gradient and Hessian of A as the pass's mean and cov, and its derivatives in a
+carrier shape (r, tau) as moments of d log h(N) / d shape under its weights.
+Passes are memoized per eta, so a derivative read at a fitted eta costs no
+second pass.  CanonicalForm.A instead adds the base's log_norm (a closed form,
+or the log mass of the base's own support table) to the perturbation's log z,
+and agrees with the pass to the tables' tolerance.
 
 For any of these laws the stationary construction gives the identity
 
@@ -118,9 +117,10 @@ class CanonicalForm:
         out = log_carrier(self.kind, as_support(n), self.r, self.tau)
         return float(out) if np.ndim(n) == 0 else out
 
-    def dlog_h(self, n):
-        """Derivative of log h(n) in the carrier shape: r of a negative binomial, tau of a hyper-Poisson."""
-        return log_carrier_slope(self.kind, n, self.r, self.tau)
+    def dlog_h(self, n, order=1):
+        """Derivative of log h(n) in the carrier shape, r of a negative binomial or tau of a
+        hyper-Poisson; the second derivative with order=2."""
+        return log_carrier_slope(self.kind, n, self.r, self.tau, order)
 
     def T(self, n):
         """Sufficient statistic; shape (d,) for scalar n, (len(n), d) for arrays."""
@@ -212,8 +212,7 @@ class SupportPass(NamedTuple):
     weights: np.ndarray
 
 
-## Passes kept by the memo: a profile fit reads the last pass of one of its
-## latest few inner fits (the best of a grid fitted before its neighbours).
+## Passes kept by the memo, for a derivative read at one of the latest few etas.
 _PASS_MEMO_SIZE = 32
 
 
@@ -253,12 +252,6 @@ def _memo_pass(kind, r, tau, points, family, policy, eta_bytes):
     for a in (mean, cov, w):
         a.flags.writeable = False
     return SupportPass(float(top + math.log(mass)), mean, cov, w)
-
-
-def shape_mean(cf, eta=None):
-    """E[d log h(N) / d shape] at eta: the derivative of A in the carrier shape at fixed eta."""
-    w = support_pass(cf, eta).weights
-    return float(w @ cf.dlog_h(np.arange(len(w))))
 
 
 def cumulant_identity_residual(cf, ratio, policy=None):

@@ -17,13 +17,12 @@ zeros, by its identity E[N] = lam - (tau - 1)(1 - P(N = 0)): the MLE solves
 E[N] = m, so the start is off only by the mismatch in P(N = 0).
 
 Shape parameters held inside the carrier h (r of the negative binomial, tau
-of the hyper-Poisson) are not canonical coordinates; profile_fit maximizes
-over them by a safeguarded secant on the profile score, which by the envelope
-theorem is sum_i f_i d log h(y_i) - N E[d log h(N)] at the inner optimum (the
-expectation read from the inner fit's last pass), starting from a grid and
-widening past its ends while the score points outward.  A maximum that lies
-past every widening is returned as the best fit searched, with
-FitResult.boundary naming the nuisance and the side.
+of the hyper-Poisson) are not canonical coordinates.  profile_fit adds log s
+of the shape s to the same Newton run (the joint fit of Lawless 1987, Can. J.
+Stat. 15:209-225): the pass at each point also gives the shape's score
+sum_i f_i d log h(y_i) / N - E[d log h(N)] and its curvature, so no inner fits
+are run.  The shape stays within a box around the grid; a maximum past its
+edge is returned at the edge, with FitResult.boundary naming the side.
 
 Every mixture variant (zero-inflated, multiple-inflation, hurdle, haslett) is
 a reparameterization of a type 1 law, so a mixture template is fitted in the
@@ -39,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, SeriesCapError
-from .expfamily import canonicalize, shape_mean, support_pass
+from .expfamily import canonicalize, support_pass
 from .models import InfDefDistribution, InflationSpec, model_from_document
 from .stationary import DEFAULT_POLICY, base_pmf, lam_upper, support_floor, support_table
 
@@ -50,6 +49,16 @@ _SE_COND_LIMIT = 1e10
 _EPS = float(np.finfo(float).eps)
 
 
+def _count(value, what):
+    """value as an int; DomainError unless it is a non-negative integer (an integral float passes)."""
+    try:
+        if int(value) == value >= 0:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CountSample:
     """Observed counts as a frequency table over distinct values."""
@@ -58,9 +67,7 @@ class CountSample:
     freqs: tuple
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        if any(v != w for v, w in zip(vals, self.values)) or any(v < 0 for v in vals):
-            raise DomainError("sample values must be non-negative integers")
+        vals = tuple(_count(v, "a sample value") for v in self.values)
         if len(set(vals)) != len(vals):
             raise DomainError("sample values must be distinct; aggregate the frequencies")
         freqs = tuple(float(f) for f in self.freqs)
@@ -84,9 +91,8 @@ class CountSample:
 
     @classmethod
     def from_counts(cls, counts):
-        table = Counter(int(c) for c in counts)
-        vals = sorted(table)
-        return cls(values=tuple(vals), freqs=tuple(float(table[v]) for v in vals))
+        table = Counter(counts)
+        return cls(values=tuple(table), freqs=tuple(float(f) for f in table.values()))
 
     @classmethod
     def from_frequencies(cls, pairs):
@@ -120,6 +126,7 @@ class FitResult:
     bic: float
     nuisance: tuple | None = None
     boundary: tuple | None = None
+    nuisance_se: float | None = None
 
 
 def _start_base(shape, sample):
@@ -175,62 +182,138 @@ def _sample_sums(cf, sample):
     return freqs @ cf.T(values) / freqs.sum(), float(freqs @ cf.log_h(values))
 
 
-def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_tol=_GRAD_TOL):
-    """Newton MLE over the canonical coordinates of the template's family.
-
-    template fixes the structure (kind, carrier shapes, perturbation points
-    and family); its parameter values are ignored except as defaults.  A
-    MixtureModel template of any variant is fitted in the coordinates of its
-    type 1 law (MixtureModel.as_type1), so eta_hat is type 1 canonical, and
-    the fitted law is mapped back to the variant (MixtureModel.from_type1).
-    """
+def _start_form(template, sample, policy):
+    """The canonical form of template at the mean-matched start (_initial_model)."""
     if len(sample.values) < 2:
         raise DomainError(
             "degenerate sample: every observation equals "
             f"{sample.values[0]}; the likelihood is maximized on the parameter-space boundary"
         )
     cf = canonicalize(template, policy)
-    cf = replace(cf, eta=canonicalize(_initial_model(cf, sample, policy), policy).eta)
+    return replace(cf, eta=canonicalize(_initial_model(cf, sample, policy), policy).eta)
+
+
+def _shape_terms(form, res, values, freqs, n_tot):
+    """(score, Cov(T, D), second derivative) in the carrier shape s of the average
+    log-likelihood at the pass res, D = d log h / ds and D2 = d^2 log h / ds^2.
+
+    The score is mean_i D(y_i) - E[D] and the second derivative mean_i D2(y_i) -
+    E[D2] - Var(D), expectations under the pass's weights; D and D2 are one
+    running sum each over the table and the sample's values.
+    """
+    w = res.weights
+    m = len(w)
+    ns = np.arange(max(m, int(values[-1]) + 1))
+    d1, d2 = form.dlog_h(ns), form.dlog_h(ns, 2)
+    dev = d1[:m] - w @ d1[:m]
+    cross = (w * dev) @ (form.stat_rows(ns[:m]) - res.mean)
+    score = float(freqs @ d1[values]) / n_tot - float(w @ d1[:m])
+    return score, cross, float(freqs @ d2[values]) / n_tot - float(w @ d2[:m]) - float(w @ (dev * dev))
+
+
+def _newton(cf, sample, max_iter, grad_tol, shape=None):
+    """Damped Newton ascent of the average log-likelihood from cf.eta, the one
+    loop of fit_mle and profile_fit; returns its FitResult.
+
+    x holds eta's coordinates; one bounded above by 0 is searched as log(-eta),
+    or with a shape as log(e^-eta - 1), which for a negative binomial is
+    log(r / mean), so its mean-matched eta moves one for one with log r.
+    shape = (name, lo, hi, xtol) appends u = log s, s the carrier shape name
+    (r or tau) of cf, kept in [lo, hi].  Each evaluated point costs one
+    support_pass, which gives the value and, at an accepted point, the score
+    and Hessian (in s through _shape_terms).  The eta block of the Hessian is
+    negative definite, so the step solves it first, for the score and for the
+    cross column; the step in u is then Newton's on the Schur complement
+    sigma = H_uu - H_ux H_xx^-1 H_xu where sigma < 0, else 1 uphill in the
+    profile score, capped at 1 and kept in [lo, hi].  A shape on an edge whose
+    score points outward is held there, and eta finishes alone.  The run has
+    converged when the eta score is below grad_tol and the shape is held, or
+    its score is below grad_tol and (but where a step gains nothing more) its
+    next step is below xtol.  Standard errors come from the observed
+    information in (eta, s), a held shape's row left out.
+    """
+    name, lo, hi, xtol = shape or (None, None, None, None)
+    d = cf.dim
     t_bar, log_h_total = _sample_sums(cf, sample)
-    bounded = np.array([hi == 0.0 for (_, hi) in cf.space])
+    values, freqs = np.asarray(sample.values), np.asarray(sample.freqs)
+    n_tot = sample.size
+    bounded = np.array([top == 0.0 for (_, top) in cf.space])
 
     def to_eta(x):
         ## A trial step can send a log coordinate past exp's range; its eta is
         ## then -inf, a point the line search rejects.
-        eta = x.copy()
+        eta = x[:d].copy()
         with np.errstate(over="ignore"):
-            eta[bounded] = -np.exp(x[bounded])
+            eta[bounded] = -np.exp(eta[bounded]) if name is None else -np.logaddexp(0.0, eta[bounded])
         return eta
 
-    def to_x(eta):
-        return np.where(bounded, np.log(-np.minimum(eta, -1e-300)), eta)
+    def form_at(x):
+        return cf if name is None else replace(cf, **{name: math.exp(x[d])})
 
     def evaluate(x):
-        """Average log-likelihood at x and the support pass that gives it."""
-        eta = to_eta(x)
-        res = support_pass(cf, eta)
-        return float(t_bar @ eta - res.log_mass), res
+        """Average log-likelihood at x (less the sample's mean log h without a shape), the pass
+        that gives it, and its rounding: ulps of its size, or with a shape of its terms' size."""
+        eta, form = to_eta(x), form_at(x)
+        res = support_pass(form, eta)
+        val = float(t_bar @ eta - res.log_mass)
+        if name is None:
+            return val, res, 8.0 * _EPS * max(1.0, abs(val))
+        mean_log_h = float(freqs @ form.log_h(values)) / n_tot
+        size = abs(float(t_bar @ eta)) + abs(res.log_mass) + abs(mean_log_h)
+        return val + mean_log_h, res, 8.0 * _EPS * max(1.0, size)
 
-    x = to_x(cf.eta)
-    converged = False
-    iterations = 0
-    ## One support pass per evaluated point gives the value, score and information.
-    val, res = evaluate(x)
-    for iterations in range(1, max_iter + 1):
+    def derivatives(x, res):
+        """Score and information (the negated Hessian) of the average log-likelihood in (eta, s) at x."""
+        if name is None:
+            return t_bar - res.mean, res.cov
+        g_s, cross, h_ss = _shape_terms(form_at(x), res, values, freqs, n_tot)
+        info = np.empty((d + 1, d + 1))
+        info[:d, :d], info[:d, d], info[d, :d], info[d, d] = res.cov, cross, cross, -h_ss
+        return np.append(t_bar - res.mean, g_s), info
+
+    def in_x(x, g, info):
+        """Score and Hessian in x, by the chain rule through eta(x) and s = e^u."""
         eta = to_eta(x)
-        g_eta = t_bar - res.mean
-        if float(np.max(np.abs(g_eta))) < grad_tol:
-            converged = True
+        jac = np.where(bounded, eta if name is None else np.expm1(eta), 1.0)
+        curv = np.where(bounded, g[:d] * (eta if name is None else jac * np.exp(eta)), 0.0)
+        if name is not None:
+            jac, curv = np.append(jac, math.exp(x[d])), np.append(curv, math.exp(x[d]) * g[d])
+        return g * jac, -(jac[:, None] * info * jac[None, :]) + np.diag(curv)
+
+    x = cf.eta.copy()
+    x[bounded] = np.log(-np.minimum(x[bounded], -1e-300) if name is None else np.expm1(-x[bounded]))
+    if name is not None:
+        x = np.append(x, math.log(getattr(cf, name)))
+    held = None
+    ## One support pass per evaluated point gives the value, score and information.
+    val, res, tol = evaluate(x)
+    for iterations in range(1, max_iter + 2):
+        g, info = derivatives(x, res)
+        small = float(np.max(np.abs(g[:d]))) < grad_tol
+        if name is not None:
+            g_u = math.exp(x[d]) * float(g[d])
+            held = "upper" if x[d] >= hi and g_u > 0.0 else "lower" if x[d] <= lo and g_u < 0.0 else None
+            small = small and (held is not None or abs(g_u) < grad_tol)
+        if (small and name is None) or iterations > max_iter:
             iterations -= 1
             break
-        jac = np.where(bounded, eta, 1.0)
-        g_x = g_eta * jac
-        ## Hessian of the avg log-likelihood in x (chain rule through eta = -e^x).
-        h_x = -(jac[:, None] * res.cov * jac[None, :]) + np.diag(np.where(bounded, g_eta * eta, 0.0))
+        g_x, h_x = in_x(x, g, info)
+        direction, du = g_x, 0.0
         try:
-            direction = np.linalg.solve(h_x, -g_x)
+            direction = np.linalg.solve(h_x[:d, :d], -g_x[:d])
+            if name is not None:
+                u, cross = x[d], h_x[:d, d]
+                back = np.linalg.solve(h_x[:d, :d], cross)
+                profile = g_x[d] + cross @ direction
+                sigma = h_x[d, d] - cross @ back
+                du = -profile / sigma if sigma < 0.0 else math.copysign(1.0, profile)
+                du = max(lo - u, -1.0, min(du, 1.0, hi - u))
+                direction = np.append(direction - back * du, du)
         except np.linalg.LinAlgError:
-            direction = g_x
+            pass
+        if small and (held or math.exp(x[d]) * abs(du) <= xtol):
+            iterations -= 1
+            break
         if float(direction @ g_x) <= 0.0:
             direction = g_x
         slope = float(g_x @ direction)
@@ -238,11 +321,12 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
         ## Compare up to the rounding of the average log-likelihood: near the
         ## optimum the predicted gain falls below it, and an exact test would
         ## halve the step to nothing while the values tie.
-        tol = 8.0 * _EPS * max(1.0, abs(val))
         while step > 1e-14:
             x_new = x + step * direction
+            if name is not None:
+                x_new[d] = min(max(x_new[d], lo), hi)
             try:
-                val_new, res_new = evaluate(x_new)
+                val_new, res_new, tol_new = evaluate(x_new)
             except (DomainError, SeriesCapError):
                 ## a trial point outside the domain, or one whose table does
                 ## not settle, halves the step
@@ -252,40 +336,50 @@ def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_to
             step *= 0.5
         else:
             break
-        if np.array_equal(x_new, x):
+        if np.array_equal(x_new, x) or small and val_new <= val:
             break
-        x, val, res = x_new, val_new, res_new
-    else:
-        iterations = max_iter
-    g_eta = t_bar - res.mean
-    if not converged and float(np.max(np.abs(g_eta))) < grad_tol:
-        converged = True
+        x, val, res, tol = x_new, val_new, res_new, tol_new
 
-    eta_hat = to_eta(x)
-    fitted = cf.model_at(eta_hat)
-    n_tot = sample.size
+    form, eta_hat = form_at(x), to_eta(x)
     ## The log-likelihood sum_i f_i log h(y_i) + N (T_bar . eta_hat - A), with
     ## A from the pass that scored eta_hat: the value Newton maximized.
-    ll = log_h_total + n_tot * val
-    k = cf.dim
-    info = n_tot * res.cov
-    se = None
-    se_unstable = True
-    cond = np.linalg.cond(info)
+    ll = n_tot * val if name is not None else log_h_total + n_tot * val
+    params = len(info)
+    k = params - (held is not None)
+    total = n_tot * info[:k, :k]
+    se, se_unstable = None, True
+    cond = np.linalg.cond(total)
     if np.isfinite(cond) and cond < _SE_COND_LIMIT:
-        se = np.sqrt(np.diag(np.linalg.inv(info)))
-        se_unstable = False
+        var = np.diag(np.linalg.inv(total))
+        if var.min() > 0.0:
+            se = np.sqrt(var)
+            se_unstable = False
     return FitResult(
-        model=fitted,
+        model=form.model_at(eta_hat),
         eta_hat=eta_hat,
         loglik=ll,
         iterations=iterations,
-        converged=converged,
-        standard_errors=se,
+        converged=small,
+        standard_errors=None if se is None else se[:d],
         se_unstable=se_unstable,
-        aic=2.0 * k - 2.0 * ll,
-        bic=k * math.log(n_tot) - 2.0 * ll,
+        aic=2.0 * params - 2.0 * ll,
+        bic=params * math.log(n_tot) - 2.0 * ll,
+        nuisance=name and (name, getattr(form, name)),
+        boundary=held and (name, held),
+        nuisance_se=None if se is None or k == d else float(se[d]),
     )
+
+
+def fit_mle(template, sample, policy=DEFAULT_POLICY, max_iter=_MAX_ITER, grad_tol=_GRAD_TOL):
+    """Newton MLE over the canonical coordinates of the template's family.
+
+    template fixes the structure (kind, carrier shapes, perturbation points
+    and family); its parameter values are ignored except as defaults.  A
+    MixtureModel template of any variant is fitted in the coordinates of its
+    type 1 law (MixtureModel.as_type1), so eta_hat is type 1 canonical, and
+    the fitted law is mapped back to the variant (MixtureModel.from_type1).
+    """
+    return _newton(_start_form(template, sample, policy), sample, max_iter, grad_tol)
 
 
 def _with_nuisance(doc, name, value, policy):
@@ -297,67 +391,22 @@ def _with_nuisance(doc, name, value, policy):
     return model_from_document(dict(doc, base=base), policy)
 
 
-## Factor by which the bracket widens past a grid end, and the most widenings.
-_WIDEN = 4.0
-_MAX_WIDEN = 8
-
-
-def _profile_score(result, sample, policy):
-    """Derivative of the profile log-likelihood in the carrier shape at result.
-
-    By the envelope theorem it is the partial derivative at the inner optimum:
-    sum_i f_i d log h(y_i) - N E[d log h(N)], the expectation over the law at
-    eta_hat (type 1 coordinates for a mixture, as canonicalize gives them).
-    """
-    cf = canonicalize(result.model, policy)
-    observed = float(np.asarray(sample.freqs) @ cf.dlog_h(np.asarray(sample.values)))
-    return observed - sample.size * shape_mean(cf, result.eta_hat)
-
-
-def _close_bracket(score, near, far, xtol):
-    """Narrow a sign change of score between near and far to width <= xtol.
-
-    Secant steps on the two latest iterates, taken in 1/s, where the score
-    is nearer linear (an NB variance is mean + mean^2 / r), and kept inside the
-    bracket; a bisection instead when the secant point falls outside it or
-    the latest secant step did not halve |score|.  A step shorter than
-    xtol / 2 is lengthened to xtol / 2, which steps past a root the secant
-    placed that close and so closes the bracket.
-    """
-    a, sa, b, sb = far, score(far), near, score(near)
-    pos, neg = (b, a) if sb > 0.0 else (a, b)
-    secant = False
-    while abs(pos - neg) > xtol:
-        lo, hi = min(pos, neg), max(pos, neg)
-        u = 1.0 / b - sb * (1.0 / b - 1.0 / a) / (sb - sa) if sb != sa else 0.0
-        x = 1.0 / u if u > 0.0 else math.nan
-        if not lo < x < hi or (secant and not abs(sb) <= 0.5 * abs(sa)):
-            x, secant = (lo + hi) / 2.0, False
-        else:
-            secant = True
-        if abs(x - b) < xtol / 2.0:
-            x = b + math.copysign(xtol / 2.0, x - b)
-        if not lo < x < hi:
-            break  # xtol is below the float spacing of the bracket
-        a, sa, b, sb = b, sb, x, score(x)
-        if sb > 0.0:
-            pos = x
-        else:
-            neg = x
+## How far past each end of its grid profile_fit lets the shape go.
+_REACH = 4.0**8
 
 
 def profile_fit(template, sample, grid, nuisance=None, policy=DEFAULT_POLICY, xtol=1e-4):
-    """Maximize the likelihood over a carrier shape parameter (r or tau).
+    """Maximize the likelihood over a carrier shape parameter (r or tau) as well.
 
-    Fits the canonical coordinates at every grid value of the nuisance, then
-    finds the zero of the profile score next to the best grid point: the
-    bracket between it and its uphill neighbour is closed to width xtol by
-    safeguarded secant steps.  When the score at an end of the grid points
-    outward, the bracket widens past that end by factors of _WIDEN, at most
-    _MAX_WIDEN times; if the score still points outward, the best fit
-    searched is returned with boundary = (nuisance, "lower" or "upper").
-    Otherwise the best fit searched lies within xtol of the maximum.  A
-    single-point grid reduces to fit_mle with the nuisance held fixed.
+    One damped Newton run over the canonical coordinates and log s, s the
+    nuisance, from the mean-matched start at the grid's middle value, with s
+    kept within [grid[0] / 4^8, grid[-1] * 4^8].  The returned s lies within
+    xtol of the maximum, and nuisance_se and the standard errors come from the
+    joint observed information.  If the maximum lies past an edge, s is held
+    there, the coordinates are fitted at it, and the result has boundary =
+    (nuisance, "lower" or "upper") and no nuisance_se.  A single-point grid
+    reduces to fit_mle with the nuisance held fixed.  The shape counts as a
+    parameter in aic and bic.
     """
     doc = template.to_document()
     if nuisance is None:
@@ -367,46 +416,19 @@ def profile_fit(template, sample, grid, nuisance=None, policy=DEFAULT_POLICY, xt
     grid = sorted(float(g) for g in grid)
     if not grid or any(not (math.isfinite(g) and g > 0.0) for g in grid):
         raise DomainError(f"grid must hold positive finite reals, got {grid}")
-
-    fits, scores = {}, {}
-
-    def fit_at(val):
-        if val not in fits:
-            fits[val] = fit_mle(_with_nuisance(doc, nuisance, val, policy), sample, policy)
-        return fits[val]
-
-    def score(val):
-        if val not in scores:
-            scores[val] = _profile_score(fit_at(val), sample, policy)
-        return scores[val]
-
-    best = max(grid, key=lambda g: fit_at(g).loglik)
-    boundary = None
+    if not (math.isfinite(xtol) and xtol >= 0.0):
+        raise DomainError(f"xtol must be a non-negative finite real, got {xtol}")
+    model = _with_nuisance(doc, nuisance, grid[len(grid) // 2], policy)
     if len(grid) > 1:
-        up = score(best) > 0.0
-        i = grid.index(best) + (1 if up else -1)
-        near = far = best
-        if 0 <= i < len(grid):
-            far = grid[i]
-        else:
-            for _ in range(_MAX_WIDEN):
-                near, far = far, far * _WIDEN if up else far / _WIDEN
-                if (score(far) > 0.0) != up:
-                    break
-            else:
-                boundary = (nuisance, "upper" if up else "lower")
-        if boundary is None:
-            _close_bracket(score, near, far, xtol)
-    best_val = max(fits, key=lambda v: fits[v].loglik)
-    result = fits[best_val]
+        box = (nuisance, math.log(grid[0] / _REACH), math.log(grid[-1] * _REACH), xtol)
+        return _newton(_start_form(model, sample, policy), sample, _MAX_ITER, _GRAD_TOL, box)
+    result = fit_mle(model, sample, policy)
     k = len(result.eta_hat) + 1
-    n_tot = sample.size
     return replace(
         result,
-        nuisance=(nuisance, best_val),
-        boundary=boundary,
+        nuisance=(nuisance, grid[0]),
         aic=2.0 * k - 2.0 * result.loglik,
-        bic=k * math.log(n_tot) - 2.0 * result.loglik,
+        bic=k * math.log(sample.size) - 2.0 * result.loglik,
     )
 
 
@@ -416,6 +438,7 @@ def sample_counts(model, size, rng, policy=DEFAULT_POLICY):
     The CDF is that of the model's support table; SeriesCapError is raised when
     the table does not settle within policy.max_terms.
     """
+    size = _count(size, "size")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     _, log_p = support_table(lambda ns: model.logpmf(ns, policy), policy, support_floor(model))

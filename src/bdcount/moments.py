@@ -210,8 +210,11 @@ def _check_q(q, least, policy):
 
 
 def _shape_kwargs(kind, r, tau, nu):
-    name = SHAPE_PARAM.get(kind)
-    return {name: {"r": r, "tau": tau, "nu": nu}[name]} if name else {}
+    """The kind's own shape parameter as a keyword; DomainError for one it does not take."""
+    given, name = {"r": r, "tau": tau, "nu": nu}, SHAPE_PARAM.get(kind)
+    for other in [k for k, v in given.items() if v is not None and k != name]:
+        raise DomainError(f"{kind} does not take parameter {other}")
+    return {name: given[name]} if name else {}
 
 
 def dispersion_surface(kind, q, lambda_grid, phi_grid, family="type2", r=None, tau=None, nu=None, policy=DEFAULT_POLICY):
@@ -220,8 +223,9 @@ def dispersion_surface(kind, q, lambda_grid, phi_grid, family="type2", r=None, t
     Returns an array of shape (len(lambda_grid), len(phi_grid)).  The lam-only
     work (base moments, cell sums) is done once per lam for the whole grid, and
     phi enters only through array arithmetic.  A q that is not an integer in
-    [0, policy.max_terms) or an unknown family raises DomainError; a bad kind
-    or shape parameter gives an all-NaN grid.
+    [0, policy.max_terms), an unknown family or a shape parameter the kind does
+    not take raises DomainError; an unknown kind or a bad value of the kind's
+    own shape parameter gives an all-NaN grid.
     """
     q = _check_q(q, 0, policy)
     spec = InflationSpec(family=family, points=(q,), factors=(1.0,))
@@ -282,7 +286,8 @@ def equidispersion_contour(
     midpoint equals an end.  When the index is 1 everywhere on the scan (the
     phi = 1 Poisson line), returns degenerate=True and no roots.  Raises
     DomainError unless xtol is finite and positive, subintervals is a
-    positive integer and q a non-negative integer.
+    positive integer and q a non-negative integer, and for a shape parameter
+    the kind does not take.
     """
     if not (0.0 < lambda_lo < lambda_hi < math.inf):
         raise DomainError(f"need 0 < lambda_lo < lambda_hi < inf, got ({lambda_lo}, {lambda_hi})")

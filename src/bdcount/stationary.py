@@ -586,8 +586,9 @@ def log_rising(x, ns):
     return float(out) if np.ndim(ns) == 0 else out
 
 
-def log_rising_slope(x, ns):
-    """d/dx [lgamma(x + n) - lgamma(x)] = sum_{k<n} 1/(x + k), for real x > 0 and integers n >= 0.
+def log_rising_slope(x, ns, order=1):
+    """d/dx [lgamma(x + n) - lgamma(x)] = sum_{k<n} 1/(x + k), for real x > 0 and integers n >= 0;
+    with order=2 the second derivative, -sum_{k<n} 1/(x + k)^2.
 
     A running sum over the lattice of log_gamma, so no digamma is needed.  It
     holds at most _LGAMMA_TABLE_MAX terms; past them the sum continues by
@@ -595,13 +596,16 @@ def log_rising_slope(x, ns):
     """
     idx = np.asarray(ns).astype(np.intp, copy=False)
     top = min(int(idx.max(initial=0)), _LGAMMA_TABLE_MAX)
-    run = np.concatenate(([0.0], np.cumsum(1.0 / (x + np.arange(top)))))
+    run = np.concatenate(([0.0], np.cumsum((1.0 / (x + np.arange(top))) ** order)))
     out = run[np.minimum(idx, top)]
     far = idx > top
     if far.any():
         a, b = x + top, x + idx[far]
-        out[far] += np.log(b / a) + (1.0 / a - 1.0 / b) / 2.0 + (1.0 / a**2 - 1.0 / b**2) / 12.0
-    return out
+        if order == 1:
+            out[far] += np.log(b / a) + (1.0 / a - 1.0 / b) / 2.0 + (1.0 / a**2 - 1.0 / b**2) / 12.0
+        else:
+            out[far] += (1.0 / a - 1.0 / b) + (1.0 / a**2 - 1.0 / b**2) / 2.0 + (1.0 / a**3 - 1.0 / b**3) / 6.0
+    return out if order == 1 else -out
 
 
 def log_carrier(kind, ns, r=None, tau=None):
@@ -616,12 +620,13 @@ def log_carrier(kind, ns, r=None, tau=None):
     return np.zeros(np.shape(ns))
 
 
-def log_carrier_slope(kind, ns, r=None, tau=None):
-    """Derivative of log_carrier in the carrier shape: r of a negative binomial, tau of a hyper-Poisson."""
+def log_carrier_slope(kind, ns, r=None, tau=None, order=1):
+    """Derivative of log_carrier in the carrier shape, r of a negative binomial or tau of a
+    hyper-Poisson; the second derivative with order=2."""
     if kind == "negative_binomial":
-        return log_rising_slope(r, ns)
+        return log_rising_slope(r, ns, order)
     if kind == "hyper_poisson":
-        return -log_rising_slope(tau, ns)
+        return -log_rising_slope(tau, ns, order)
     raise DomainError(f"a {kind} carrier has no shape parameter")
 
 

@@ -1,5 +1,6 @@
 """Newton MLE, profile likelihood, and the sampling helper."""
 
+import dataclasses
 import math
 import sys
 
@@ -26,8 +27,22 @@ from bdcount import (
     sample_counts,
 )
 from bdcount import fit as fit_module
-from bdcount.fit import _profile_score, _with_nuisance
+from bdcount.expfamily import support_pass
+from bdcount.fit import _sample_sums, _shape_terms, _with_nuisance
 from bdcount.stationary import DEFAULT_POLICY
+
+
+def _profile_score(result, sample, policy):
+    """Derivative of the profile log-likelihood in the carrier shape at result.
+
+    By the envelope theorem it is the partial derivative at the inner optimum:
+    sum_i f_i d log h(y_i) - N E[d log h(N)], the expectation over the law at
+    eta_hat (type 1 coordinates for a mixture, as canonicalize gives them).
+    """
+    cf = canonicalize(result.model, policy)
+    observed = float(np.asarray(sample.freqs) @ cf.dlog_h(np.asarray(sample.values)))
+    w = support_pass(cf, result.eta_hat).weights
+    return observed - sample.size * float(w @ cf.dlog_h(np.arange(len(w))))
 
 
 def test_count_sample_validation():
@@ -548,30 +563,30 @@ def test_fit_makes_one_support_pass_per_newton_point(monkeypatch):
 
 
 def test_profile_score_reuses_the_last_pass_of_each_fit(monkeypatch):
+    ## The shape's score and curvature are read from the pass that gave the
+    ## value at the same point, so every support table that profile_fit makes
+    ## is at a distinct (shape, eta) point.
     from bdcount import expfamily
 
     expfamily._memo_pass.cache_clear()
     rng = np.random.default_rng(3)
     s = CountSample.from_counts(rng.poisson(rng.gamma(4.0, 0.8, 20_000)))
-    log = []
+    log, points = [], []
     _spy(monkeypatch, log, "pass", expfamily, "support_table")
-    inner = fit_module.fit_mle
+    real_pass = fit_module.support_pass
 
-    def marked(*args, **kwargs):
-        log.append("fit")
-        res = inner(*args, **kwargs)
-        log.append("fit done")
-        return res
+    def recorded(cf, eta=None):
+        log.append("point")
+        points.append((cf.tau, np.asarray(eta).tobytes()))
+        return real_pass(cf, eta)
 
-    monkeypatch.setattr(fit_module, "fit_mle", marked)
+    monkeypatch.setattr(fit_module, "support_pass", recorded)
     prof = profile_fit(BaseDistribution(kind="hyper_poisson", lam=1.0, tau=1.0), s, grid=(0.5, 1.0, 2.0))
     assert abs(prof.nuisance[1] - 5.7066) < 1e-3
-    inside, depth = 0, 0
-    for tag in log:
-        depth += {"fit": 1, "fit done": -1}.get(tag, 0)
-        inside += tag == "pass" and depth > 0
-    ## the scores at the inner optima make no pass of their own
-    assert inside == log.count("pass") > 0
+    tables = [i for i, tag in enumerate(log) if tag == "pass"]
+    assert len(tables) == len(set(points)) > 0
+    ## each table is made for the point requested just before it
+    assert all(log[i - 1] == "point" for i in tables)
 
 
 ## A CMP type 1 table on which Newton used to stall: the series normalizer
@@ -660,3 +675,187 @@ def test_trial_step_past_exp_range_is_rejected_without_warning(monkeypatch):
         "0x1.53bd538934d42p-2",
         "0x1.ba0f88a364834p-2",
     ]
+
+
+## profile_fit as it was before the joint Newton run, kept as a reference: a
+## fit_mle at every grid value, widening past an end by factors of 4 (at most
+## 8 times) while the profile score points outward, then the bracket next to
+## the best fit closed to xtol by safeguarded secant steps in 1 / s.
+def _close_bracket(score, near, far, xtol):
+    a, sa, b, sb = far, score(far), near, score(near)
+    pos, neg = (b, a) if sb > 0.0 else (a, b)
+    secant = False
+    while abs(pos - neg) > xtol:
+        lo, hi = min(pos, neg), max(pos, neg)
+        u = 1.0 / b - sb * (1.0 / b - 1.0 / a) / (sb - sa) if sb != sa else 0.0
+        x = 1.0 / u if u > 0.0 else math.nan
+        if not lo < x < hi or (secant and not abs(sb) <= 0.5 * abs(sa)):
+            x, secant = (lo + hi) / 2.0, False
+        else:
+            secant = True
+        if abs(x - b) < xtol / 2.0:
+            x = b + math.copysign(xtol / 2.0, x - b)
+        if not lo < x < hi:
+            break
+        a, sa, b, sb = b, sb, x, score(x)
+        if sb > 0.0:
+            pos = x
+        else:
+            neg = x
+
+
+def _reference_profile(template, sample, grid, name, xtol=1e-4):
+    """(shape, loglik) of the best fit the grid-and-secant search makes."""
+    doc, fits, scores = template.to_document(), {}, {}
+
+    def fit_at(val):
+        if val not in fits:
+            fits[val] = fit_mle(_with_nuisance(doc, name, val, DEFAULT_POLICY), sample)
+        return fits[val]
+
+    def score(val):
+        if val not in scores:
+            scores[val] = _profile_score(fit_at(val), sample, DEFAULT_POLICY)
+        return scores[val]
+
+    grid = sorted(grid)
+    best = max(grid, key=lambda g: fit_at(g).loglik)
+    up = score(best) > 0.0
+    i = grid.index(best) + (1 if up else -1)
+    near = far = best
+    if 0 <= i < len(grid):
+        far = grid[i]
+    else:
+        for _ in range(8):
+            near, far = far, far * 4.0 if up else far / 4.0
+            if (score(far) > 0.0) != up:
+                break
+    _close_bracket(score, near, far, xtol)
+    best = max(fits, key=lambda v: fits[v].loglik)
+    return best, fits[best].loglik
+
+
+@pytest.mark.parametrize(
+    "true, name",
+    [
+        (BaseDistribution(kind="negative_binomial", lam=0.6, r=0.8), "r"),
+        (BaseDistribution(kind="negative_binomial", lam=2.1, r=3.0), "r"),
+        (BaseDistribution(kind="hyper_poisson", lam=4.0, tau=2.5), "tau"),
+        (BaseDistribution(kind="hyper_poisson", lam=1.2, tau=0.7), "tau"),
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_profile_matches_the_grid_and_secant_reference(true, name, seed):
+    s = CountSample.from_counts(sample_counts(true, 5000, seed))
+    shape = getattr(true, name)
+    template = _with_nuisance(true.to_document(), name, 1.0, DEFAULT_POLICY)
+    grid = tuple(shape * g for g in (0.6, 1.2, 2.4))
+    prof = profile_fit(template, s, grid, xtol=1e-4)
+    ref_shape, ref_ll = _reference_profile(template, s, grid, name)
+    assert prof.converged and prof.boundary is None
+    assert abs(prof.nuisance[1] - ref_shape) <= 1e-4
+    assert prof.loglik >= ref_ll - 1e-8 * abs(ref_ll)
+
+
+def _joint_terms(cf, eta, sample):
+    """Average log-likelihood, score and Hessian in (eta, shape) as the joint Newton run reads them."""
+    t_bar, _ = _sample_sums(cf, sample)
+    values, freqs = np.asarray(sample.values), np.asarray(sample.freqs)
+    res = support_pass(cf, eta)
+    g_s, cross, h_ss = _shape_terms(cf, res, values, freqs, sample.size)
+    val = float(t_bar @ eta - res.log_mass) + float(freqs @ cf.log_h(values)) / sample.size
+    d = cf.dim
+    hess = np.empty((d + 1, d + 1))
+    hess[:d, :d], hess[:d, d], hess[d, :d], hess[d, d] = -res.cov, -cross, -cross, h_ss
+    return val, np.append(t_bar - res.mean, g_s), hess
+
+
+@pytest.mark.parametrize(
+    "model, name",
+    [
+        (BaseDistribution(kind="negative_binomial", lam=1.8, r=2.2), "r"),
+        (BaseDistribution(kind="hyper_poisson", lam=2.5, tau=1.7), "tau"),
+        (
+            InfDefDistribution(
+                BaseDistribution(kind="hyper_poisson", lam=2.0, tau=1.4), InflationSpec("type1", (0,), (1.6,))
+            ),
+            "tau",
+        ),
+    ],
+)
+def test_joint_score_and_hessian_match_central_differences(model, name):
+    ## At a point off the optimum, so every entry is far from zero.
+    rng = np.random.default_rng(12)
+    s = CountSample.from_counts(rng.poisson(rng.gamma(2.0, 1.5, 4000)))
+    cf = canonicalize(model)
+    d, h = cf.dim, 1e-5
+
+    def at(x):
+        form = dataclasses.replace(cf, **{name: x[d]})
+        return _joint_terms(form, x[:d], s)
+
+    x0 = np.append(cf.eta, getattr(cf, name))
+    _, score, hess = at(x0)
+    for j in range(d + 1):
+        step = np.zeros(d + 1)
+        step[j] = h
+        (v_up, g_up, _), (v_dn, g_dn, _) = at(x0 + step), at(x0 - step)
+        assert abs(score[j]) > 1e-3
+        assert abs((v_up - v_dn) / (2.0 * h) - score[j]) <= 1e-6 * abs(score[j])
+        np.testing.assert_allclose((g_up - g_dn) / (2.0 * h), hess[:, j], rtol=1e-5, atol=1e-8)
+
+
+def test_profile_nuisance_se_matches_the_profile_curvature():
+    rng = np.random.default_rng(3)
+    s = CountSample.from_counts(rng.poisson(rng.gamma(4.0, 0.8, 20_000)))
+    template = BaseDistribution(kind="hyper_poisson", lam=1.0, tau=1.0)
+    prof = profile_fit(template, s, grid=(0.5, 1.0, 2.0))
+    tau, h = prof.nuisance[1], 0.05
+    curvature = (
+        _profile_ll(template, "tau", tau + h, s) - 2.0 * prof.loglik + _profile_ll(template, "tau", tau - h, s)
+    ) / h**2
+    assert abs(prof.nuisance_se - 1.0 / math.sqrt(-curvature)) <= 1e-2 * prof.nuisance_se
+    ## the coordinates' standard errors grow once the shape is estimated too
+    fixed = fit_mle(_with_nuisance(template.to_document(), "tau", tau, DEFAULT_POLICY), s)
+    assert not prof.se_unstable and prof.standard_errors.shape == fixed.standard_errors.shape
+    assert np.all(prof.standard_errors > fixed.standard_errors)
+
+
+def test_profile_nuisance_se_is_withheld_at_an_edge_and_for_one_grid_point():
+    s = CountSample.from_counts(np.random.default_rng(50).poisson(2.0, 300))
+    template = BaseDistribution(kind="negative_binomial", lam=0.5, r=2.0)
+    edge = profile_fit(template, s, grid=(1.0, 4.0, 16.0))
+    assert edge.boundary == ("r", "upper") and edge.nuisance_se is None
+    assert edge.standard_errors is not None and len(edge.standard_errors) == 1
+    single = profile_fit(template, s, grid=(4.0,))
+    assert single.nuisance_se is None and single.standard_errors is not None
+    assert fit_mle(template, s).nuisance_se is None
+
+
+@pytest.mark.parametrize("xtol", [math.nan, math.inf, -1.0])
+def test_profile_rejects_an_invalid_xtol(xtol):
+    s = CountSample.from_counts([0, 1, 1, 2, 4])
+    with pytest.raises(DomainError, match="xtol"):
+        profile_fit(BaseDistribution(kind="negative_binomial", lam=1.0, r=2.0), s, grid=(1.0, 2.0), xtol=xtol)
+
+
+def test_from_counts_rejects_a_fractional_count():
+    with pytest.raises(DomainError, match="non-negative integer"):
+        CountSample.from_counts([1, 2, 1.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_counts_rejects_a_non_finite_count(bad):
+    with pytest.raises(DomainError, match="non-negative integer"):
+        CountSample.from_counts([1, 2, bad])
+
+
+def test_from_frequencies_rejects_a_nan_value():
+    with pytest.raises(DomainError, match="non-negative integer"):
+        CountSample.from_frequencies({math.nan: 1})
+
+
+@pytest.mark.parametrize("size", [math.nan, -1, 2.5])
+def test_sample_counts_rejects_an_invalid_size(size):
+    with pytest.raises(DomainError, match="size"):
+        sample_counts(BaseDistribution(kind="poisson", lam=2.0), size, 1)

@@ -242,6 +242,13 @@ def test_dispersion_surface_marks_bad_nodes():
     assert np.all(np.isnan(dispersion_surface("cmp", 2, [0.5], [0.5], nu=-1.0)))
 
 
+def test_dispersion_surface_rejects_a_shape_the_kind_does_not_take():
+    with pytest.raises(DomainError, match="poisson does not take parameter r"):
+        dispersion_surface("poisson", 2, [0.5], [0.5], r=3.0)
+    with pytest.raises(DomainError, match="negative_binomial does not take parameter tau"):
+        equidispersion_contour("negative_binomial", 2, 0.5, 0.5, 2.0, r=3.0, tau=1.0)
+
+
 def _surface_shape(kind):
     return {"negative_binomial": {"r": 4.0}, "hyper_poisson": {"tau": 1.7}, "cmp": {"nu": 1.3}}.get(kind, {})
 
